@@ -4,7 +4,7 @@ Three benches around the summary cache and the parallel summarizer:
 
 * cold serial lint (every file summarized from source, fresh cache);
 * warm lint (every summary served from the content-hash cache); and
-* cold parallel lint (``jobs=4`` through ``ordered_fanout``).
+* cold parallel lint (``jobs=4`` on a forked ``WorkerPool``).
 
 Every bench asserts its findings are empty (the tree is lint-clean)
 and identical across paths, so a fast-but-divergent engine cannot

@@ -24,12 +24,7 @@ import time
 import pytest
 
 from repro.ecosystem import paper_config
-from repro.feeds import (
-    clear_pool_state,
-    collect_all,
-    set_pool_state,
-    standard_feed_suite,
-)
+from repro.feeds import CollectState, collect_all, standard_feed_suite
 from repro.io.artifacts import ArtifactCache
 from repro.parallel import WorkerPool
 from repro.pipeline import PaperPipeline
@@ -96,16 +91,12 @@ def test_collect_stage_parallel(benchmark, pipeline, show):
     # The pool forks once, outside the timed region, exactly as the
     # pipeline uses it: the bench measures steady-state dispatch.
     collectors = standard_feed_suite(SEED)
-    set_pool_state(world, collectors)
-    try:
-        with WorkerPool(JOBS) as pool:
+    with WorkerPool(JOBS, CollectState(world, collectors)) as pool:
 
-            def collect():
-                return collect_all(world, collectors, pool=pool)
+        def collect():
+            return collect_all(world, collectors, pool=pool)
 
-            datasets = benchmark.pedantic(collect, rounds=3)
-    finally:
-        clear_pool_state()
+        datasets = benchmark.pedantic(collect, rounds=3)
     for name in serial:
         assert datasets[name].records == serial[name].records
     speedup = serial_seconds / benchmark.stats.stats.mean

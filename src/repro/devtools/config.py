@@ -136,10 +136,11 @@ DEFAULT_RULES: Dict[str, RuleInfo] = {
         RuleInfo(
             "REP009",
             "no shared-state writes reachable from a parallel task",
-            "Functions dispatched through parallel.fanout.ordered_fanout "
-            "run in forked workers: writes to globals, closed-over "
-            "objects, or module-level caches land in a copy-on-write "
-            "child and silently vanish -- or, under a future threaded "
+            "Functions dispatched through a parallel.WorkerPool "
+            "(run_batch, run_stream, broadcast) run in forked workers: "
+            "writes to globals, closed-over objects, or module-level "
+            "caches land in a copy-on-write child and silently "
+            "vanish -- or, under a future threaded "
             "executor, race. State must flow back through task return "
             "values; a pragma records why a flagged write is "
             "fork-safe (e.g. an idempotent process-local memo).",

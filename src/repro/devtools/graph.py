@@ -355,7 +355,7 @@ class ProjectGraph:
 
 
 class FanoutBoundary:
-    """One ``ordered_fanout`` dispatch: where, and what it runs."""
+    """One worker-pool dispatch: where, and what it runs."""
 
     def __init__(
         self,

@@ -59,7 +59,7 @@ from repro.devtools.summaries import (
     summarize_source,
 )
 from repro.io.artifacts import ArtifactCache, artifact_key
-from repro.parallel.fanout import ordered_fanout, resolve_jobs
+from repro.parallel import WorkerPool, resolve_jobs
 
 
 @dataclasses.dataclass(frozen=True)
@@ -178,6 +178,11 @@ def summarize_path(path: str, source: str) -> FileSummary:
         raise LintError(f"{path}: cannot parse: {exc}") from exc
 
 
+def _summarize_task(sources: Dict[str, str], path: str) -> FileSummary:
+    """Pool task: summarize one file of the inherited *sources*."""
+    return summarize_path(path, sources[path])
+
+
 def _summary_key(source: str, path: str, pin: str) -> str:
     return artifact_key(
         kind=SUMMARY_KIND,
@@ -197,10 +202,10 @@ def _gather_summaries(
 ) -> List[FileSummary]:
     """Phase 1 over *files*: cache hits load, misses compute (+store).
 
-    Misses fan out through ``ordered_fanout`` when more than one job
-    is requested; the parent stores results, so no two processes ever
-    write the cache concurrently.  Output order is ``files`` order
-    regardless of jobs or hit pattern.
+    Misses run on a :class:`~repro.parallel.WorkerPool` of ``jobs``
+    width (in-process at 1) that inherits *sources*; the parent stores
+    results, so no two processes ever write the cache concurrently.
+    Output order is ``files`` order regardless of jobs or hit pattern.
     """
     summaries: Dict[str, FileSummary] = {}
     keys: Dict[str, str] = {}
@@ -217,15 +222,14 @@ def _gather_summaries(
                 summaries[path] = payload
     missing = [path for path in files if path not in summaries]
     if missing:
-        width = min(resolve_jobs(jobs), len(missing))
-        produced = ordered_fanout(
-            [
-                (lambda p=path: summarize_path(p, sources[p]))
-                for path in missing
-            ],
-            jobs=width,
-            labels=[f"lint-summary:{path}" for path in missing],
-        )
+        with WorkerPool(
+            min(resolve_jobs(jobs), len(missing)), sources
+        ) as pool:
+            produced = pool.run_batch(
+                _summarize_task,
+                missing,
+                labels=[f"lint-summary:{path}" for path in missing],
+            )
         for path, summary in zip(missing, produced):
             summaries[path] = summary
             if cache is not None:

@@ -4,7 +4,7 @@ Phase 3 of the v2 engine: given every file summary of a run, build a
 :class:`~repro.devtools.graph.ProjectGraph` and check the properties
 no single-file pass can see:
 
-* **REP009 fork-safety** -- from every ``ordered_fanout`` dispatch,
+* **REP009 fork-safety** -- from every worker-pool dispatch,
   walk the call graph of its task roots and flag writes to globals,
   closed-over objects, and module-level mutables: in forked workers
   those writes land in a copy-on-write child and vanish.

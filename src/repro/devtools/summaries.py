@@ -14,10 +14,10 @@ method and lambda recording
   parameter, closed-over, module-level, ``self`` attribute),
 * whether the function returns an unordered collection,
 * ``sum()`` calls whose iterable is another function's return value,
-* and every parallel dispatch with its task expressions: both
-  ``ordered_fanout(tasks)`` (a list of thunks) and worker-pool
-  submissions (``pool.run_batch(fn, ...)`` / ``pool.broadcast(fn, ...)``,
-  where the single callable fans out to forked workers).
+* and every parallel dispatch with its task expression: a worker-pool
+  submission (``pool.run_batch(fn, ...)``, ``pool.run_stream(fn, ...)``
+  or ``pool.broadcast(fn, ...)``), where the single callable fans out
+  to forked workers.
 
 The summaries are plain frozen dataclasses of strings and ints: they
 pickle cleanly into the artifact cache and compare structurally, which
@@ -47,7 +47,7 @@ from repro.devtools.rules import (
 
 #: Version of the summary layout; bump to invalidate cached summaries
 #: when the fields or their semantics change.
-SUMMARY_VERSION = 2
+SUMMARY_VERSION = 3
 
 #: Function names whose call result is an independent, freshly derived
 #: RNG stream (or a factory handing one out).
@@ -72,15 +72,10 @@ MUTATING_METHODS = frozenset(
     }
 )
 
-#: The parallel fan-out boundary: any call to this name (resolved or
-#: literal) dispatches its first argument's callables onto workers.
-FANOUT_NAME = "ordered_fanout"
-
-#: Worker-pool dispatch methods: ``pool.run_batch(fn, payloads)``,
-#: ``pool.run_stream(fn, payloads)`` and ``pool.broadcast(fn, payload)``
-#: run their first argument in forked workers, so the submitted callable
-#: is a fan-out root exactly like an ``ordered_fanout`` task.  The
-#: sharded world build dispatches through ``run_stream``.
+#: The parallel fan-out boundary.  Worker-pool dispatch methods --
+#: ``pool.run_batch(fn, payloads)``, ``pool.run_stream(fn, payloads)``
+#: and ``pool.broadcast(fn, payload)`` -- run their first argument in
+#: forked workers, so the submitted callable is a fan-out root.
 POOL_DISPATCH_METHODS = frozenset({"run_batch", "run_stream", "broadcast"})
 
 #: SQL statements worth summarizing for the store-schema rule.
@@ -158,7 +153,7 @@ class SumOverCall:
 
 @dataclasses.dataclass(frozen=True)
 class TaskRef:
-    """One task expression handed to ``ordered_fanout``."""
+    """The task expression handed to a pool dispatch."""
 
     kind: str  # "name" | "self-method" | "attr" | "lambda" | "unknown"
     value: str
@@ -167,7 +162,7 @@ class TaskRef:
 
 @dataclasses.dataclass(frozen=True)
 class FanoutSite:
-    """One ``ordered_fanout(tasks, ...)`` dispatch site."""
+    """One ``pool.run_batch/run_stream/broadcast(fn, ...)`` site."""
 
     line: int
     col: int
@@ -368,8 +363,6 @@ class _ScopeAnalyzer(ast.NodeVisitor):
         self.local = frozenset(_scope_bindings(body)) | frozenset(params)
         #: local name -> "derived" | "other" (rng-ish assignments only)
         self.rng_locals: Dict[str, str] = {}
-        #: local name -> list-literal elements (for fan-out task lists)
-        self.list_locals: Dict[str, ast.expr] = {}
         self._lambda_memo: Dict[str, FunctionSummary] = {}
 
         self.calls: List[CallRef] = []
@@ -520,11 +513,6 @@ class _ScopeAnalyzer(ast.NodeVisitor):
                     self.rng_locals[target.id] = "derived"
                 elif isinstance(value, ast.Call) and _rng_receiver(target):
                     self.rng_locals.setdefault(target.id, "other")
-                if isinstance(
-                    value,
-                    (ast.List, ast.Tuple, ast.ListComp, ast.GeneratorExp),
-                ):
-                    self.list_locals[target.id] = value
                 if target.id in self.global_decls:
                     self.free_writes.append(
                         FreeWrite(
@@ -681,9 +669,7 @@ class _ScopeAnalyzer(ast.NodeVisitor):
         ref = self._call_ref(node)
         if ref is not None:
             self.calls.append(ref)
-            if ref.name == FANOUT_NAME:
-                self._record_fanout(node)
-            elif (
+            if (
                 ref.name in POOL_DISPATCH_METHODS
                 and ref.kind in ("method", "self", "attr")
             ):
@@ -795,30 +781,12 @@ class _ScopeAnalyzer(ast.NodeVisitor):
 
     # -- fan-out task extraction ----------------------------------------
 
-    def _record_fanout(self, node: ast.Call) -> None:
-        tasks_expr: Optional[ast.expr] = None
-        if node.args:
-            tasks_expr = node.args[0]
-        else:
-            for keyword in node.keywords:
-                if keyword.arg == "tasks":
-                    tasks_expr = keyword.value
-        refs, resolved = self._task_refs(tasks_expr)
-        self.fanouts.append(
-            FanoutSite(
-                line=node.lineno,
-                col=node.col_offset,
-                tasks=tuple(refs),
-                resolved=resolved,
-            )
-        )
-
     def _record_pool_dispatch(self, node: ast.Call) -> None:
         """``pool.run_batch/run_stream/broadcast(fn, ...)``.
 
-        The submitted callable runs in forked workers, so it gets the
-        same :class:`FanoutSite` treatment as an ``ordered_fanout``
-        task list; REP009/REP010 then walk its reachable set.
+        The submitted callable runs in forked workers, so it is
+        recorded as a :class:`FanoutSite` root; REP009/REP010 then walk
+        its reachable set.
         """
         fn_expr: Optional[ast.expr] = node.args[0] if node.args else None
         if fn_expr is None:
@@ -844,27 +812,6 @@ class _ScopeAnalyzer(ast.NodeVisitor):
                 resolved=ref.kind != "unknown",
             )
         )
-
-    def _task_refs(
-        self, expr: Optional[ast.expr], depth: int = 0
-    ) -> Tuple[List[TaskRef], bool]:
-        if expr is None or depth > 3:
-            return [], False
-        if isinstance(expr, (ast.List, ast.Tuple)):
-            refs: List[TaskRef] = []
-            resolved = True
-            for element in expr.elts:
-                ref = self._task_ref(element)
-                refs.append(ref)
-                if ref.kind == "unknown":
-                    resolved = False
-            return refs, resolved
-        if isinstance(expr, (ast.ListComp, ast.GeneratorExp)):
-            ref = self._task_ref(expr.elt)
-            return [ref], ref.kind != "unknown"
-        if isinstance(expr, ast.Name) and expr.id in self.list_locals:
-            return self._task_refs(self.list_locals[expr.id], depth + 1)
-        return [], False
 
     def _task_ref(self, expr: ast.expr) -> TaskRef:
         line = getattr(expr, "lineno", self.lineno)

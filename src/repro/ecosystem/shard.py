@@ -55,6 +55,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from repro import obs
@@ -82,8 +83,7 @@ from repro.ecosystem.entities import (
 from repro.ecosystem.registry import Registry
 from repro.ecosystem.world import HostingRecord, World
 from repro.obs.hosttime import Stopwatch, peak_rss_kib
-from repro.parallel.fanout import fork_available, resolve_jobs
-from repro.parallel.pool import WorkerPool
+from repro.parallel.pool import WorkerPool, resolve_jobs
 from repro.simtime import Timeline
 
 #: Maximum campaigns per campaign-partition unit.  (program, botnet)
@@ -441,51 +441,47 @@ def unpack_unit(packed: PackedUnit) -> UnitResult:
     return result
 
 
-class PackedShard(NamedTuple):
-    """A worker's output for one contiguous unit range."""
+class ShardResult(NamedTuple):
+    """A task's output for one contiguous unit range."""
 
     lo: int
     hi: int
-    units: Tuple[PackedUnit, ...]
-    #: Worker-process peak RSS after building the shard (a process
-    #: lifetime high-water mark, so it bounds this shard from above).
+    #: Built units; packed when the shard crossed a process boundary.
+    units: Tuple[Union[UnitResult, PackedUnit], ...]
+    #: Peak RSS of the process that built the shard, after building it
+    #: (a process lifetime high-water mark, so it bounds this shard
+    #: from above).
     peak_rss_kib: Optional[int]
     build_seconds: float
 
+    def __reduce__(self) -> Tuple[object, ...]:
+        # A shard built in a forked worker travels as packed units --
+        # typed arrays and name blobs instead of object graphs -- and
+        # stays packed until the merge reaches it.
+        units = tuple(
+            unit if isinstance(unit, PackedUnit) else pack_unit(unit)
+            for unit in self.units
+        )
+        return (
+            ShardResult,
+            (self.lo, self.hi, units, self.peak_rss_kib, self.build_seconds),
+        )
 
-# ----------------------------------------------------------------------
-# Worker entry point (pre-fork copy-on-write state)
-# ----------------------------------------------------------------------
-
-#: (ctx, plan) published before the pool forks; workers inherit it
-#: copy-on-write and tasks carry only a (lo, hi) unit range.
-_SHARD_RUN: Optional[Tuple[BuildContext, ShardPlan]] = None
-
-
-def set_shard_run(ctx: BuildContext, plan: ShardPlan) -> None:
-    """Publish the build context + plan for shard workers to inherit."""
-    global _SHARD_RUN
-    _SHARD_RUN = (ctx, plan)  # reprolint: disable=REP009 -- pre-fork publication point, never called from a worker
-
-
-def clear_shard_run() -> None:
-    """Drop the published shard-run state."""
-    global _SHARD_RUN
-    _SHARD_RUN = None  # reprolint: disable=REP009 -- pre-fork publication point, never called from a worker
+    def unit_results(self) -> Iterator[UnitResult]:
+        """The units in plan order, unpacked one at a time."""
+        for unit in self.units:
+            yield unpack_unit(unit) if isinstance(unit, PackedUnit) else unit
 
 
-def _build_shard_task(payload: Tuple[int, int]) -> PackedShard:
-    """Worker task: build and pack units ``[lo, hi)`` of the plan."""
-    state = _SHARD_RUN
-    if state is None:
-        raise RuntimeError("shard run state not installed before fork")
+def _build_shard_task(
+    state: Tuple[BuildContext, ShardPlan], payload: Tuple[int, int]
+) -> ShardResult:
+    """Pool task: build units ``[lo, hi)`` of the plan."""
     ctx, plan = state
     lo, hi = payload
     watch = Stopwatch()
-    units = tuple(
-        pack_unit(build_unit(ctx, plan, index)) for index in range(lo, hi)
-    )
-    return PackedShard(lo, hi, units, peak_rss_kib(), watch.elapsed())
+    units = tuple(build_unit(ctx, plan, index) for index in range(lo, hi))
+    return ShardResult(lo, hi, units, peak_rss_kib(), watch.elapsed())
 
 
 # ----------------------------------------------------------------------
@@ -591,34 +587,31 @@ def _iter_units(
     shards: int,
     jobs: Optional[int],
 ) -> Iterator[UnitResult]:
-    """Yield unit results in plan order, building shards in parallel
-    when the platform and requested width allow it."""
-    width = min(resolve_jobs(jobs), max(1, shards))
-    if shards <= 1 or width < 2 or not fork_available():
-        for index in range(len(plan.units)):
-            yield build_unit(ctx, plan, index)
-        return
+    """Yield unit results in plan order, building shards on a pool.
 
-    ranges = shard_ranges(plan, shards)
-    set_shard_run(ctx, plan)
-    pool = WorkerPool(min(width, len(ranges)) if len(ranges) >= 2 else 2)
-    try:
+    The pool inherits ``(ctx, plan)`` at fork time, so a task carries
+    only a ``(lo, hi)`` unit range.  In-process nothing is shipped, so
+    a task is one unit and the build stays one unit deep, exactly like
+    :meth:`WorldBuilder.build`.
+    """
+    ranges = shard_ranges(plan, max(1, shards))
+    with WorkerPool(
+        max(1, min(resolve_jobs(jobs), len(ranges))), (ctx, plan)
+    ) as pool:
+        if not pool.forked:
+            ranges = [(unit, unit + 1) for unit in range(len(plan.units))]
         labels = [f"world.shard[{lo}:{hi}]" for lo, hi in ranges]
-        for index, packed in pool.run_stream(
+        for index, shard in pool.run_stream(
             _build_shard_task, ranges, labels
         ):
             with obs.span(
                 "world.shard",
                 shard=index,
-                units=packed.hi - packed.lo,
-                worker_peak_rss_kib=packed.peak_rss_kib,
-                worker_seconds=round(packed.build_seconds, 6),
+                units=shard.hi - shard.lo,
+                worker_peak_rss_kib=shard.peak_rss_kib,
+                worker_seconds=round(shard.build_seconds, 6),
             ):
-                for packed_unit in packed.units:
-                    yield unpack_unit(packed_unit)
-    finally:
-        pool.close()
-        clear_shard_run()
+                yield from shard.unit_results()
 
 
 def build_world_sharded(
@@ -630,9 +623,10 @@ def build_world_sharded(
 ) -> World:
     """Build a world from *shards* parallel shard builds + one merge.
 
-    ``shards=1`` (or any environment where forking is unavailable)
-    degrades to the serial unit loop, which is exactly what
-    :meth:`WorldBuilder.build` runs -- byte-identical by construction.
+    ``shards=1``, ``jobs`` of 1, or any environment where forking is
+    unavailable runs the units in-process, one at a time -- exactly
+    what :meth:`WorldBuilder.build` runs, byte-identical by
+    construction.
     """
     from repro.ecosystem.config import paper_config
 

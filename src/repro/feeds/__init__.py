@@ -39,11 +39,9 @@ from repro.feeds.blacklist import BlacklistConfig, BlacklistFeed
 from repro.feeds.hybrid import HybridFeedConfig, HybridFeed
 from repro.feeds.suite import (
     PAPER_FEED_ORDER,
-    clear_pool_state,
+    CollectState,
     collect_all,
     land_dataset,
-    pool_world,
-    set_pool_state,
     standard_feed_suite,
 )
 
@@ -52,6 +50,7 @@ __all__ = [
     "BlacklistFeed",
     "BotnetFeed",
     "BotnetFeedConfig",
+    "CollectState",
     "FeedCollector",
     "FeedDataset",
     "FeedRecord",
@@ -66,10 +65,7 @@ __all__ = [
     "MxHoneypotConfig",
     "MxHoneypotFeed",
     "PAPER_FEED_ORDER",
-    "clear_pool_state",
     "collect_all",
     "land_dataset",
-    "pool_world",
-    "set_pool_state",
     "standard_feed_suite",
 ]

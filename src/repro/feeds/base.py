@@ -6,6 +6,7 @@ import abc
 import enum
 from array import array
 from typing import (
+    Any,
     Dict,
     Iterable,
     List,
@@ -261,6 +262,13 @@ class FeedDataset:
     def packed(self) -> PackedColumns:
         """This dataset blob-packed for process/disk transport."""
         return self.to_columns().pack()
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # A dataset crossing a process boundary (a forked collect
+        # task's result, a render broadcast) travels as its packed
+        # columns and arrives column-backed: one flat blob per column
+        # instead of a pickle of every record tuple.
+        return (ColumnarFeedDataset.from_packed, (self.packed(),))
 
     def __len__(self) -> int:
         return len(self.records)

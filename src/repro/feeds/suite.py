@@ -9,26 +9,21 @@ fractions, listing thresholds -- not per-result fudge factors.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+import dataclasses
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from repro import obs
 from repro.ecosystem.world import World
-from repro.feeds.base import (
-    ColumnarFeedDataset,
-    FeedCollector,
-    FeedDataset,
-    PackedColumns,
-)
+from repro.feeds.base import FeedCollector, FeedDataset
 from repro.feeds.blacklist import BlacklistConfig, BlacklistFeed
 from repro.feeds.botnet import BotnetFeedConfig, BotnetFeed
 from repro.feeds.honey_account import HoneyAccountConfig, HoneyAccountFeed
 from repro.feeds.human import HumanFeedConfig, HumanIdentifiedFeed
 from repro.feeds.hybrid import HybridFeedConfig, HybridFeed
 from repro.feeds.mx_honeypot import MxHoneypotConfig, MxHoneypotFeed
-from repro.parallel import fork_available, ordered_fanout, resolve_jobs
+from repro.parallel import WorkerPool
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.parallel import WorkerPool
     from repro.store.sightings import RunWriter
 
 #: Feed mnemonics in the paper's Table 1 order.
@@ -138,44 +133,22 @@ def standard_feed_suite(seed: int = 2012) -> List[FeedCollector]:
     ]
 
 
-#: The (world, collectors) state persistent-pool collect tasks run
-#: against.  Published immediately before the pool forks so workers
-#: inherit it copy-on-write; tasks index into it and never mutate it.
-_POOL_STATE: Optional[Tuple[World, List[FeedCollector]]] = None
+@dataclasses.dataclass(eq=False)
+class CollectState:
+    """What collect tasks read: the world and the collectors, by index.
 
-
-def set_pool_state(
-    world: World, collectors: List[FeedCollector]
-) -> None:
-    """Publish the collect state a persistent pool will inherit.
-
-    Must run *before* the :class:`~repro.parallel.pool.WorkerPool` is
-    constructed: pool workers receive only small task descriptors over
-    a pipe, so everything heavy has to already be in the forked image.
+    A :class:`~repro.parallel.WorkerPool` opened over it hands it to
+    every forked worker at fork time (copy-on-write), so a task carries
+    only a collector index.
     """
-    global _POOL_STATE
-    _POOL_STATE = (world, collectors)  # reprolint: disable=REP009 -- pre-fork publication point
+
+    world: World
+    collectors: List[FeedCollector]
 
 
-def clear_pool_state() -> None:
-    """Drop the published collect state (after the pool is closed)."""
-    global _POOL_STATE
-    _POOL_STATE = None  # reprolint: disable=REP009 -- clears the pre-fork publication
-
-
-def pool_world() -> World:
-    """The world published for the active pool (workers and parent)."""
-    if _POOL_STATE is None:
-        raise RuntimeError("no pool state published (set_pool_state)")
-    return _POOL_STATE[0]
-
-
-def _pool_collect_task(index: int) -> PackedColumns:
-    """Pool task: run the *index*-th published collector, return blobs."""
-    if _POOL_STATE is None:
-        raise RuntimeError("no pool state published (set_pool_state)")
-    world, collectors = _POOL_STATE
-    return collectors[index].collect(world).packed()
+def _collect_task(state: CollectState, index: int) -> FeedDataset:
+    """Pool task: run the *index*-th collector of *state*."""
+    return state.collectors[index].collect(state.world)
 
 
 def land_dataset(writer: "RunWriter", dataset: FeedDataset) -> None:
@@ -186,44 +159,25 @@ def land_dataset(writer: "RunWriter", dataset: FeedDataset) -> None:
     )
 
 
-def _land_columnar(
-    results: Dict[str, FeedDataset], writer: Optional["RunWriter"]
-) -> None:
-    for dataset in results.values():
-        obs.add("feeds.records", dataset.total_samples)
-        if writer is not None:
-            with obs.span(f"store.land:{dataset.name}"):
-                land_dataset(writer, dataset)
-
-
 def collect_all(
     world: World,
     collectors: Optional[Iterable[FeedCollector]] = None,
-    jobs: Optional[int] = None,
     writer: Optional["RunWriter"] = None,
-    pool: Optional["WorkerPool"] = None,
+    pool: Optional[WorkerPool] = None,
 ) -> Dict[str, FeedDataset]:
     """Run every collector against *world*; keyed by feed mnemonic.
 
-    With ``jobs`` > 1 the collectors run on a forked worker pool.  Each
-    collector draws only from its own seed-derived RNG streams and the
-    results are reassembled in collector order, so the datasets are
-    byte-identical to a serial run at any worker count; parallel
-    results come back as column-backed datasets (cheap to transport),
-    which serve the same statistics in the same order.
-
-    A persistent *pool* (forked after :func:`set_pool_state` published
-    this exact world and collector list) takes precedence over the
-    per-call fan-out: collection then ships only collector indices to
-    the already-forked workers, sharing the fork bill with later
-    stages.  The two parallel paths and the serial path all produce
-    byte-identical datasets.
+    The collectors run on *pool*, which must have been opened over the
+    :class:`CollectState` of this world and collector list; without
+    one they run in-process, in collector order.  Each collector draws
+    only from its own seed-derived RNG streams and results are reduced
+    in collector order, so the datasets are byte-identical at any pool
+    width (forked workers return column-backed datasets, which serve
+    the same statistics in the same order).
 
     With a *writer* attached, each dataset lands in the sighting store
-    as it is collected (in collector order on the parallel path, where
-    children return columns and the parent lands them).  Landing is a
-    store-side effect only -- the returned datasets are identical with
-    or without it.
+    in collector order.  Landing is a store-side effect only -- the
+    returned datasets are identical with or without it.
     """
     ordered = (
         list(collectors)
@@ -235,46 +189,20 @@ def collect_all(
         if name in seen:
             raise ValueError(f"duplicate feed name {name!r}")
         seen.add(name)
-
-    labels = [f"feed.collect:{collector.name}" for collector in ordered]
-    if pool is not None and not pool.closed and len(ordered) > 1:
-        packed = pool.run_batch(
-            _pool_collect_task, list(range(len(ordered))), labels=labels
-        )
-        results = {
-            p.name: ColumnarFeedDataset.from_packed(p) for p in packed
-        }
-        _land_columnar(results, writer)
-        return results
-
-    width = min(resolve_jobs(jobs), len(ordered))
-    if width > 1 and fork_available():
-        # Pre-warm the shared placement index so every forked worker
-        # inherits it copy-on-write instead of rebuilding it.
-        world.placements_by_domain()
-        packed = ordered_fanout(
-            [
-                (lambda c=collector: c.collect(world).packed())
-                for collector in ordered
-            ],
-            jobs=width,
-            labels=labels,
-        )
-        results = {
-            p.name: ColumnarFeedDataset.from_packed(p) for p in packed
-        }
-        _land_columnar(results, writer)
-        return results
+    if pool is None:
+        pool = WorkerPool(1, CollectState(world, ordered))
+    elif pool.state.world is not world:
+        raise ValueError("pool was not opened over this world")
 
     datasets: Dict[str, FeedDataset] = {}
-    for collector in ordered:
-        with obs.span(f"feed.collect:{collector.name}") as span:
-            dataset = collector.collect(world)
-            obs.add("feeds.records", dataset.total_samples)
-            if span is not None:
-                span.attributes["records"] = dataset.total_samples
+    for dataset in pool.run_batch(
+        _collect_task,
+        list(range(len(ordered))),
+        labels=[f"feed.collect:{collector.name}" for collector in ordered],
+    ):
+        obs.add("feeds.records", dataset.total_samples)
         if writer is not None:
-            with obs.span(f"store.land:{collector.name}"):
+            with obs.span(f"store.land:{dataset.name}"):
                 land_dataset(writer, dataset)
-        datasets[collector.name] = dataset
+        datasets[dataset.name] = dataset
     return datasets

@@ -1,35 +1,42 @@
-"""Persistent pre-forked worker pool.
+"""The one executor: a width-aware worker pool.
 
-:func:`~repro.parallel.fanout.ordered_fanout` forks a fresh pool for
-every fan-out, which makes each stage pay the full fork bill: a
-stop-the-world ``gc.collect``, page-table setup for the whole parent
-heap, and interpreter warm-up in every child.  When a run fans out more
-than once (collect, then render), that overhead is paid per stage and
-can exceed the parallel win -- the failure mode BENCH_pipeline.json
-documented on the way here.
+Every fan-out in the package -- the ten feed collectors, the fifteen
+renderers, the sharded world build, reprolint's per-file summaries --
+runs through :class:`WorkerPool`.  Width is pure execution width: it
+can change wall time, never bytes.
 
-:class:`WorkerPool` forks **once**, immediately after the expensive
-shared state (the simulated world) is built, and keeps its workers
-alive across stages.  Everything that exists at construction time is
-inherited copy-on-write by every worker for the lifetime of the pool;
-later stages ship only *small task descriptors* down a per-worker pipe:
-a module-level function (pickled by reference, a few bytes) plus a
-small payload such as a collector index.  Results come back tagged
-with their submission index and are reduced in that order, so -- like
-``ordered_fanout`` -- worker count is pure execution width: it can
-change wall time, never bytes.
+* **Width 1** (or no ``fork`` here) runs in-process: no fork, no
+  ``gc.collect``/``gc.freeze``, tasks run inline in index order against
+  the parent's own state, and nothing crosses a process boundary.
+* **Width N > 1** forks N workers **once**, right after the expensive
+  shared state exists, and keeps them alive across stages.  The state
+  is handed to every worker as a ``Process`` argument, which under
+  ``fork`` is inherited copy-on-write rather than pickled, so two
+  pools in one process never see each other's state.  Later stages
+  ship only *small task descriptors* down a per-worker pipe: a
+  module-level function (pickled by reference) plus a small payload
+  such as a collector index.
 
-The per-task accounting protocol is shared with ``ordered_fanout``:
-workers report ``(index, result, pid, duration, counter-deltas)``, the
-parent folds counter deltas in task-index order (ints stay ints) and
-reduces pid-keyed durations into densely renumbered per-worker metrics.
-Serial, legacy-fanout, and pool runs therefore produce identical
-counter snapshots and byte-identical artifacts.
+Tasks are ``fn(state, payload)``.  Results come back tagged with their
+submission index and are reduced in that order.  A result that crosses
+a process boundary is pickled, so result types that are costly to
+pickle define a compact reduction (a feed dataset travels as its packed
+columns, a shard as its packed units); in-process results are never
+pickled.
 
-Crash safety: task submission and result collection multiplex over the
-result pipes *and* the worker process sentinels, so a worker dying
-mid-task (OOM kill, ``os._exit``) raises :class:`WorkerCrashed` naming
-the lost worker and its task instead of hanging the parent forever.
+The per-task accounting is the same at every width: a
+``parallel.fanout`` span, ``worker.N.tasks`` and ``fanout.tasks``
+counters, and every tracer counter a task incremented (forked workers
+ship per-task counter deltas, folded back in task-index order, so ints
+stay ints and serial and parallel snapshots match).
+
+Crash safety: submission and collection multiplex over the result
+pipes *and* the worker process sentinels, so a worker dying mid-task
+(OOM kill, ``os._exit``) raises :class:`WorkerCrashed` naming the lost
+worker and its task instead of hanging the parent.  A dispatch that
+ends early -- a task error, a broadcast error, an abandoned
+:meth:`~WorkerPool.run_stream` -- first drains or closes the pool, so
+no reply is ever left in flight for the next dispatch to pick up.
 """
 
 from __future__ import annotations
@@ -38,7 +45,9 @@ import gc
 import multiprocessing
 import os
 import signal
+import sys
 from multiprocessing.connection import Connection, wait
+from multiprocessing.reduction import ForkingPickler
 from typing import (
     Any,
     Callable,
@@ -48,21 +57,24 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro import obs
 from repro.obs.hosttime import Stopwatch
-from repro.parallel.fanout import (
-    Number,
-    _counter_snapshot,
-    _record_worker_stats,
-    _task_label,
-    fork_available,
-)
 
 #: Message opcodes on the task pipe (parent -> worker).
 _OP_TASK = "task"
 _OP_STOP = "stop"
+
+#: A counter value: ints stay ints end-to-end so the parallel and
+#: serial metric snapshots serialize identically (5, never 5.0).
+Number = Union[int, float]
+
+#: Whether the oversubscription warning has been printed yet; the
+#: warning fires once per process so a run with many fan-outs does not
+#: spam stderr.
+_WARNED_OVERSUBSCRIBED = False
 
 
 class WorkerCrashed(RuntimeError):
@@ -73,21 +85,111 @@ class PoolClosed(RuntimeError):
     """The pool was used after :meth:`WorkerPool.close`."""
 
 
+def resolve_jobs(jobs: Optional[int]) -> int:
+    """Normalize a ``--jobs`` value to a concrete worker count.
+
+    ``None`` and ``1`` mean serial; ``0`` or negative mean "all cores".
+    The resolved count only ever affects execution width -- results are
+    reduced by task index -- which is why the ``cpu_count`` dependence
+    below is legitimate.  Requesting more workers than the host has
+    cores is honored (width never changes bytes) but warned about once
+    on stderr and counted, since the extra workers only add contention.
+    """
+    global _WARNED_OVERSUBSCRIBED
+    if jobs is None:
+        return 1
+    if jobs <= 0:
+        return os.cpu_count() or 1  # reprolint: disable=REP007 -- width only
+    cores = os.cpu_count() or 1  # reprolint: disable=REP007 -- warning only
+    if jobs > cores:
+        obs.add("parallel.oversubscribed")
+        if not _WARNED_OVERSUBSCRIBED:
+            # A worker that re-resolves jobs marks only its own copy of
+            # the flag; the cost is at most one duplicate stderr line,
+            # never a changed byte of output.
+            _WARNED_OVERSUBSCRIBED = True  # reprolint: disable=REP009 -- advisory warn-once flag
+            print(
+                f"repro: --jobs {jobs} exceeds the {cores} available "
+                "core(s); extra workers only add contention",
+                file=sys.stderr,
+            )
+    return jobs
+
+
+def fork_available() -> bool:
+    """True when fork-based worker pools can be used here and now."""
+    if multiprocessing.current_process().daemon:
+        # Pool workers are daemonic and may not spawn children; a pool
+        # opened inside a worker runs in-process instead.
+        return False
+    try:
+        multiprocessing.get_context("fork")
+    except ValueError:
+        return False
+    return True
+
+
+def _counter_snapshot() -> Dict[str, Number]:
+    """Current counter values of the active tracer (empty when none)."""
+    tracer = obs.current_tracer()
+    if tracer is None:
+        return {}
+    return dict(tracer.metrics.snapshot()["counters"])
+
+
+def _task_label(labels: Optional[Sequence[str]], index: int) -> str:
+    if labels is not None:
+        return labels[index]
+    return f"task[{index}]"
+
+
+def _record_worker_stats(
+    meta: Sequence[Tuple[int, int, float]],
+    labels: Optional[Sequence[str]],
+    elapsed_s: float,
+) -> None:
+    """Reduce worker-reported (index, pid, duration) into trace data.
+
+    Workers are renumbered densely by sorted pid so metric names do not
+    depend on what pids the host handed out.
+    """
+    tracer = obs.current_tracer()
+    if tracer is None:
+        return
+    by_pid: Dict[int, List[Tuple[int, float]]] = {}
+    for index, pid, duration in meta:
+        by_pid.setdefault(pid, []).append((index, duration))
+    total_idle = 0.0
+    for worker, pid in enumerate(sorted(by_pid)):
+        ran = by_pid[pid]
+        busy = sum(duration for _, duration in ran)
+        idle = max(0.0, elapsed_s - busy)
+        total_idle += idle
+        tracer.metrics.add(f"worker.{worker}.tasks", len(ran))
+        tracer.metrics.add(f"worker.{worker}.busy_s", busy)
+        tracer.metrics.set_gauge(f"worker.{worker}.idle_s", idle)
+        for index, duration in sorted(ran):
+            tracer.attach_child(
+                _task_label(labels, index), duration, worker=worker
+            )
+    tracer.metrics.add("fanout.idle_s", total_idle)
+    tracer.annotate(workers=len(by_pid))
+
+
 def _worker_main(
+    state: Any,
     task_conn: Connection,
     result_conn: Connection,
     parent_conns: Sequence[Connection] = (),
 ) -> None:
-    """Worker loop: run task descriptors until told to stop.
+    """Worker loop: run ``fn(state, payload)`` until told to stop.
 
-    Every task runs under the same accounting contract as
-    ``fanout._run_indexed``: the worker measures its own duration
-    through the :mod:`repro.obs` clock quarantine and ships the delta
-    of every tracer counter the task incremented, so the parent can
-    fold them back in and keep serial and parallel counter snapshots
-    identical.  Failures are shipped as ``("err", ...)`` messages --
-    the worker survives a failing task; only the parent decides
-    whether to keep going.
+    The worker measures each task's duration through the :mod:`repro.obs`
+    clock quarantine and ships the delta of every tracer counter the
+    task incremented, so the parent can fold them back in and keep
+    serial and parallel counter snapshots identical.  Failures are
+    shipped as ``("err", ...)`` messages -- the worker survives a
+    failing task; only the parent decides whether to keep going.
     """
     # Ctrl-C delivers SIGINT to the whole foreground process group.
     # Workers must not race the parent with their own KeyboardInterrupt
@@ -126,7 +228,7 @@ def _worker_main(
         try:
             before = _counter_snapshot()
             watch = Stopwatch()
-            result = fn(payload)
+            result = fn(state, payload)
             elapsed = watch.elapsed()
             deltas = {
                 name: value - before.get(name, 0)
@@ -153,22 +255,24 @@ def _worker_main(
 
 
 class WorkerPool:
-    """A fixed-width pool of fork-inherited, pipe-fed workers.
+    """A fixed-width pool running ``fn(state, payload)`` tasks.
 
-    Fork placement is the whole point: construct the pool *after* the
-    expensive shared state exists and every worker inherits it
-    copy-on-write, paying the fork exactly once per run no matter how
-    many stages fan out.  The parent heap is frozen into the permanent
-    GC generation for the pool's lifetime so child collections do not
-    dirty the inherited pages.
+    ``WorkerPool(1, state)`` -- or any width where ``fork`` is
+    unavailable -- runs tasks inline in the parent against *state*.
+    Wider pools fork their workers at construction, so placement is the
+    whole point: construct the pool *after* the expensive shared state
+    exists and every worker inherits it copy-on-write, paying the fork
+    once per run no matter how many stages fan out.  While forked
+    workers live, the parent heap is frozen into the permanent GC
+    generation so child collections do not dirty the inherited pages.
 
     Task functions must be module-level callables (they are pickled by
     reference); per-task inputs travel as small payloads.  State that
-    is created *after* the fork can be installed once per stage with
-    :meth:`broadcast` instead of being re-shipped with every task.
+    comes into being *after* the fork can be installed into every
+    worker's copy of *state* once per stage with :meth:`broadcast`.
     """
 
-    def __init__(self, width: int):
+    def __init__(self, width: int, state: Any = None):
         # Pre-seed shutdown state so close()/__del__ are safe even if
         # construction raises before any worker exists.
         self._closed = True
@@ -176,54 +280,55 @@ class WorkerPool:
         self._workers: List[Any] = []
         self._task_conns: List[Connection] = []
         self._result_conns: List[Connection] = []
-        if width < 2:
-            raise ValueError("a worker pool needs at least 2 workers")
-        if not fork_available():
-            raise WorkerCrashed(
-                "fork-based worker pools are unavailable on this platform"
-            )
-        context = multiprocessing.get_context("fork")
-        # Freeze before forking (see module docstring): inherited
-        # objects move to the permanent generation so worker GCs skip
-        # them and their copy-on-write pages stay shared.
-        gc.collect()
-        gc.freeze()
-        self._frozen = True
+        if width < 1:
+            raise ValueError("a worker pool needs at least 1 worker")
+        #: The state tasks run against (the parent's own copy).
+        self.state = state
         # Open for business *before* forking so an interrupt landing
         # mid-construction still reaps the workers already started
         # (close() is a no-op while _closed is True).
         self._closed = False
-        try:
-            for _ in range(width):
-                # Pipe(duplex=False) returns (read-end, write-end): the
-                # parent writes tasks and reads results, the worker
-                # holds the opposite ends.
-                task_recv, task_send = context.Pipe(duplex=False)
-                result_recv, result_send = context.Pipe(duplex=False)
-                # Everything parent-side the fork is about to duplicate
-                # into this worker; the worker closes them on startup.
-                inherited = (
-                    list(self._task_conns)
-                    + list(self._result_conns)
-                    + [task_send, result_recv]
-                )
-                process = context.Process(
-                    target=_worker_main,
-                    args=(task_recv, result_send, inherited),
-                    daemon=True,
-                )
-                process.start()
-                # The worker holds the other ends; closing ours makes
-                # its recv() raise EOFError if the parent dies
-                # uncleanly.
-                task_recv.close()
-                result_send.close()
-                self._workers.append(process)
-                self._task_conns.append(task_send)
-                self._result_conns.append(result_recv)
-        except BaseException:
-            self.close()
-            raise
+        if width == 1 or not fork_available():
+            return
+        context = multiprocessing.get_context("fork")
+        with obs.span("pool.fork", width=width):
+            # Freeze before forking (see the class docstring).
+            gc.collect()
+            gc.freeze()
+            self._frozen = True
+            try:
+                for _ in range(width):
+                    self._fork_worker(context, state)
+            except BaseException:
+                self.close()
+                raise
+
+    def _fork_worker(self, context: Any, state: Any) -> None:
+        # Pipe(duplex=False) returns (read-end, write-end): the parent
+        # writes tasks and reads results, the worker holds the
+        # opposite ends.
+        task_recv, task_send = context.Pipe(duplex=False)
+        result_recv, result_send = context.Pipe(duplex=False)
+        # Everything parent-side the fork is about to duplicate into
+        # this worker; the worker closes them on startup.
+        inherited = (
+            list(self._task_conns)
+            + list(self._result_conns)
+            + [task_send, result_recv]
+        )
+        process = context.Process(
+            target=_worker_main,
+            args=(state, task_recv, result_send, inherited),
+            daemon=True,
+        )
+        process.start()
+        # The worker holds the other ends; closing ours makes its
+        # recv() raise EOFError if the parent dies uncleanly.
+        task_recv.close()
+        result_send.close()
+        self._workers.append(process)
+        self._task_conns.append(task_send)
+        self._result_conns.append(result_recv)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -231,8 +336,13 @@ class WorkerPool:
 
     @property
     def width(self) -> int:
-        """Number of workers forked at construction."""
-        return len(self._workers)
+        """Tasks in flight at once: forked workers, or 1 in-process."""
+        return len(self._workers) or 1
+
+    @property
+    def forked(self) -> bool:
+        """True when tasks run in forked workers, not in the parent."""
+        return bool(self._workers)
 
     @property
     def closed(self) -> bool:
@@ -252,28 +362,15 @@ class WorkerPool:
     # Execution
     # ------------------------------------------------------------------
 
-    def _check_open(self) -> None:
-        if self._closed:
-            raise PoolClosed("worker pool has been closed")
-
-    def _crash(self, worker: int, detail: str) -> "WorkerCrashed":
-        # A dead worker cannot be trusted for further tasks; tear the
-        # whole pool down so the caller's next attempt starts clean.
-        self.close()
-        return WorkerCrashed(
-            f"pool worker {worker} (pid {self._workers[worker].pid}) "
-            f"died {detail}"
-        )
-
     def run_batch(
         self,
-        fn: Callable[[Any], Any],
+        fn: Callable[[Any, Any], Any],
         payloads: Sequence[Any],
         labels: Optional[Sequence[str]] = None,
     ) -> List[Any]:
-        """Run ``fn(payload)`` for every payload; results in input order.
+        """Run ``fn(state, payload)`` for every payload; results in order.
 
-        Tasks are dealt one at a time to whichever worker is free
+        Forked tasks are dealt one at a time to whichever worker is free
         (completion-order *scheduling* for load balance), but results
         are slotted by submission index and counter deltas are folded
         in that same index order, so scheduling never shows up in the
@@ -281,82 +378,18 @@ class WorkerPool:
         in the run manifest.
         """
         self._check_open()
-        if labels is not None and len(labels) != len(payloads):
-            raise ValueError("labels must match payloads one-to-one")
-        n = len(payloads)
-        results: List[Any] = [None] * n
-        if n == 0:
-            return results
-        with obs.span("parallel.fanout", tasks=n, width=self.width, pool=True):
-            watch = Stopwatch()
-            meta: List[Tuple[int, int, float]] = []
-            deltas_by_index: Dict[int, Dict[str, Number]] = {}
-            busy: Dict[int, int] = {}  # worker -> outstanding task index
-            next_task = 0
-            for worker in range(min(self.width, n)):
-                self._task_conns[worker].send(
-                    (_OP_TASK, next_task, fn, payloads[next_task])
-                )
-                busy[worker] = next_task
-                next_task += 1
-            while busy:
-                ready = wait(
-                    [self._result_conns[w] for w in busy]
-                    + [self._workers[w].sentinel for w in busy]
-                )
-                progressed = False
-                for worker in sorted(busy):
-                    conn = self._result_conns[worker]
-                    if conn not in ready or not conn.poll():
-                        continue
-                    progressed = True
-                    try:
-                        message = conn.recv()
-                    except EOFError:
-                        # The worker died with its result pipe open;
-                        # the EOF is the crash signal.
-                        label = _task_label(labels, busy[worker])
-                        raise self._crash(
-                            worker, f"while running task {label!r}"
-                        ) from None
-                    if message[0] == "err":
-                        _, index, error = message
-                        del busy[worker]
-                        raise error
-                    _, index, result, pid, elapsed, deltas = message
-                    results[index] = result
-                    meta.append((index, pid, elapsed))
-                    deltas_by_index[index] = deltas
-                    if next_task < n:
-                        self._task_conns[worker].send(
-                            (_OP_TASK, next_task, fn, payloads[next_task])
-                        )
-                        busy[worker] = next_task
-                        next_task += 1
-                    else:
-                        del busy[worker]
-                if progressed:
-                    continue
-                for worker in sorted(busy):
-                    if not self._workers[worker].is_alive():
-                        label = _task_label(labels, busy[worker])
-                        raise self._crash(
-                            worker, f"while running task {label!r}"
-                        )
-            obs.add("fanout.tasks", n)
-            # Fold worker counter increments back into the parent
-            # tracer in task-index order: counters are sums, so the
-            # merged totals match a serial run exactly.
-            for index in range(n):
-                deltas = deltas_by_index.get(index, {})
-                for name in sorted(deltas):
-                    obs.add(name, deltas[name])
-            _record_worker_stats(meta, labels, watch.elapsed())
-        return results
+        if not payloads:
+            return []
+        with obs.span(
+            "parallel.fanout", tasks=len(payloads), width=self.width
+        ):
+            return [
+                result for _, result in self.run_stream(fn, payloads, labels)
+            ]
 
     def run_stream(
         self,
-        fn: Callable[[Any], Any],
+        fn: Callable[[Any, Any], Any],
         payloads: Sequence[Any],
         labels: Optional[Sequence[str]] = None,
     ) -> "Iterator[Tuple[int, Any]]":
@@ -368,116 +401,177 @@ class WorkerPool:
         downstream reduction can run incrementally (e.g. merging shard
         blobs) without holding every result at once; at most
         ``width - 1`` results are ever buffered.  Counter deltas are
-        folded at emission time, in index order, keeping the counter
-        fold identical to :meth:`run_batch` and to a serial run.  The
-        generator must be fully consumed (or closed) before the next
-        dispatch; an abandoned iterator leaves tasks in flight.
+        folded at emission time, in index order.  Abandoning the
+        iterator early closes a forked pool, since its tasks' replies
+        would otherwise stay in flight.
         """
         self._check_open()
         if labels is not None and len(labels) != len(payloads):
             raise ValueError("labels must match payloads one-to-one")
-        n = len(payloads)
-        if n == 0:
+        if not payloads:
             return
+        if self.forked:
+            yield from self._dispatch(fn, payloads, labels)
+            return
+        for index, payload in enumerate(payloads):
+            with obs.span(_task_label(labels, index), worker=0):
+                result = fn(self.state, payload)
+            yield index, result
+        obs.add("worker.0.tasks", len(payloads))
+        obs.add("fanout.tasks", len(payloads))
+
+    def _dispatch(
+        self,
+        fn: Callable[[Any, Any], Any],
+        payloads: Sequence[Any],
+        labels: Optional[Sequence[str]],
+    ) -> "Iterator[Tuple[int, Any]]":
+        """The forked dispatch loop behind :meth:`run_stream`."""
+        n = len(payloads)
         watch = Stopwatch()
         meta: List[Tuple[int, int, float]] = []
-        pending: Dict[int, Any] = {}
-        deltas_pending: Dict[int, Dict[str, Number]] = {}
-        next_emit = 0
-        busy: Dict[int, int] = {}
-        next_task = 0
-        for worker in range(min(self.width, n)):
+        pending: Dict[int, Tuple[Any, Dict[str, Number]]] = {}
+        busy: Dict[int, int] = {}  # worker -> outstanding task index
+        next_task = next_emit = 0
+
+        def submit(worker: int) -> None:
+            nonlocal next_task
             self._task_conns[worker].send(
                 (_OP_TASK, next_task, fn, payloads[next_task])
             )
             busy[worker] = next_task
             next_task += 1
-        while busy:
-            ready = wait(
-                [self._result_conns[w] for w in busy]
-                + [self._workers[w].sentinel for w in busy]
-            )
-            progressed = False
-            for worker in sorted(busy):
-                conn = self._result_conns[worker]
-                if conn not in ready or not conn.poll():
-                    continue
-                progressed = True
-                try:
-                    message = conn.recv()
-                except EOFError:
+
+        try:
+            for worker in range(min(self.width, n)):
+                submit(worker)
+            while busy:
+                ready = wait(
+                    [self._result_conns[w] for w in busy]
+                    + [self._workers[w].sentinel for w in busy]
+                )
+                progressed = False
+                for worker in sorted(busy):
+                    conn = self._result_conns[worker]
+                    if conn not in ready or not conn.poll():
+                        continue
+                    progressed = True
                     label = _task_label(labels, busy[worker])
-                    raise self._crash(
+                    message = self._reply(
                         worker, f"while running task {label!r}"
-                    ) from None
-                if message[0] == "err":
-                    _, index, error = message
-                    del busy[worker]
-                    raise error
-                _, index, result, pid, elapsed, deltas = message
-                pending[index] = result
-                meta.append((index, pid, elapsed))
-                deltas_pending[index] = deltas
-                if next_task < n:
-                    self._task_conns[worker].send(
-                        (_OP_TASK, next_task, fn, payloads[next_task])
                     )
-                    busy[worker] = next_task
-                    next_task += 1
-                else:
                     del busy[worker]
-            if progressed:
+                    if message[0] == "err":
+                        raise message[2]
+                    _, index, result, pid, elapsed, deltas = message
+                    pending[index] = (result, deltas)
+                    meta.append((index, pid, elapsed))
+                    if next_task < n:
+                        submit(worker)
+                if not progressed:
+                    for worker in sorted(busy):
+                        if not self._workers[worker].is_alive():
+                            label = _task_label(labels, busy[worker])
+                            raise self._crash(
+                                worker, f"while running task {label!r}"
+                            )
+                    continue
                 while next_emit in pending:
-                    deltas = deltas_pending.pop(next_emit, {})
+                    result, deltas = pending.pop(next_emit)
                     for name in sorted(deltas):
                         obs.add(name, deltas[name])
-                    yield next_emit, pending.pop(next_emit)
+                    yield next_emit, result
                     next_emit += 1
-                continue
-            for worker in sorted(busy):
-                if not self._workers[worker].is_alive():
-                    label = _task_label(labels, busy[worker])
-                    raise self._crash(
-                        worker, f"while running task {label!r}"
-                    )
-        while next_emit in pending:
-            deltas = deltas_pending.pop(next_emit, {})
-            for name in sorted(deltas):
-                obs.add(name, deltas[name])
-            yield next_emit, pending.pop(next_emit)
-            next_emit += 1
+        except BaseException as exc:
+            self._settle(busy, exc)
+            raise
         obs.add("fanout.tasks", n)
         _record_worker_stats(meta, labels, watch.elapsed())
 
-    def broadcast(self, fn: Callable[[Any], Any], payload: Any) -> List[Any]:
-        """Run ``fn(payload)`` once in *every* worker; results by worker.
+    def broadcast(self, fn: Callable[[Any, Any], Any], payload: Any) -> List[Any]:
+        """Run ``fn(state, payload)`` once in *every* forked worker.
 
         This is the stage-boundary hook: state assembled after the fork
         (for example the collected feed columns) is installed into all
         workers in one shot, instead of riding along with every task.
-        Broadcast effects are worker-local by design -- counter deltas
-        are *not* folded back, because a serial run has no equivalent
-        step -- so broadcast functions must only build caches, never
-        produce results the run depends on.
+        In-process it does nothing and returns ``[]``: the parent is
+        the only worker and already holds that state.  Broadcast
+        effects are worker-local by design -- counter deltas are *not*
+        folded back, because a serial run has no equivalent step -- so
+        broadcast functions must only build caches, never produce
+        results the run depends on.  Every worker's reply is collected
+        before an error is raised, so none stays in flight.
         """
         self._check_open()
+        if not self.forked:
+            return []
         with obs.span("parallel.pool.broadcast", width=self.width):
-            for conn in self._task_conns:
-                conn.send((_OP_TASK, 0, fn, payload))
-            results = []
-            for worker in range(self.width):
-                conn = self._result_conns[worker]
-                while not conn.poll(0.05):
-                    if not self._workers[worker].is_alive():
-                        raise self._crash(worker, "during a broadcast")
-                try:
-                    message = conn.recv()
-                except EOFError:
-                    raise self._crash(worker, "during a broadcast") from None
-                if message[0] == "err":
-                    raise message[2]
-                results.append(message[2])
-        return results
+            # Pickle once, not once per worker: the payload is the
+            # stage's bulk state.
+            message = ForkingPickler.dumps((_OP_TASK, 0, fn, payload))
+            try:
+                for conn in self._task_conns:
+                    conn.send_bytes(message)
+                replies = [
+                    self._reply(worker, "during a broadcast")
+                    for worker in range(self.width)
+                ]
+            except BaseException:
+                self.close()
+                raise
+        for reply in replies:
+            if reply[0] == "err":
+                raise reply[2]
+        return [reply[2] for reply in replies]
+
+    # ------------------------------------------------------------------
+    # Replies and failure
+    # ------------------------------------------------------------------
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise PoolClosed("worker pool has been closed")
+
+    def _reply(self, worker: int, detail: str) -> Any:
+        """Block for *worker*'s next reply; a dead worker raises."""
+        conn = self._result_conns[worker]
+        wait([conn, self._workers[worker].sentinel])
+        try:
+            if conn.poll():
+                return conn.recv()
+        except EOFError:
+            # The worker died with its result pipe open; the EOF is the
+            # crash signal.
+            pass
+        raise self._crash(worker, detail)
+
+    def _crash(self, worker: int, detail: str) -> "WorkerCrashed":
+        # A dead worker cannot be trusted for further tasks; tear the
+        # whole pool down so the caller's next attempt starts clean.
+        self.close()
+        return WorkerCrashed(
+            f"pool worker {worker} (pid {self._workers[worker].pid}) "
+            f"died {detail}"
+        )
+
+    def _settle(self, busy: Dict[int, int], exc: BaseException) -> None:
+        """Leave no reply in flight after a dispatch ended early.
+
+        A task error waits out the tasks still running and discards
+        their replies, so the pool stays usable.  Anything else -- an
+        interrupt, an abandoned stream, a failure while draining --
+        closes the pool rather than wait on tasks nobody will read.
+        """
+        if self._closed or not busy:
+            return
+        if not isinstance(exc, Exception):
+            self.close()
+            return
+        try:
+            for worker in sorted(busy):
+                self._reply(worker, "while draining an aborted dispatch")
+        except BaseException:
+            self.close()
 
     # ------------------------------------------------------------------
     # Shutdown

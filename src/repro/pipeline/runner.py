@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.analysis import (
@@ -30,27 +30,18 @@ from repro.analysis.affiliates import RevenueCoverageRow
 from repro.ecosystem import EcosystemConfig, build_world, paper_config
 from repro.ecosystem.world import World
 from repro.feeds import (
+    CollectState,
     FeedCollector,
     FeedDataset,
     PAPER_FEED_ORDER,
-    clear_pool_state,
     collect_all,
     land_dataset,
-    pool_world,
-    set_pool_state,
     standard_feed_suite,
 )
 from repro.feeds.base import ColumnarFeedDataset, PackedColumns
 from repro.io.artifacts import ArtifactCache, artifact_key, fingerprint
 from repro.store.sightings import RunWriter, SightingStore, run_key_for
-from repro.parallel import (
-    PoolClosed,
-    WorkerCrashed,
-    WorkerPool,
-    fork_available,
-    ordered_fanout,
-    resolve_jobs,
-)
+from repro.parallel import PoolClosed, WorkerCrashed, WorkerPool, resolve_jobs
 from repro.reporting.charts import (
     render_bars,
     render_box_stats,
@@ -83,47 +74,66 @@ class PipelineResult:
     comparison: FeedComparison
 
 
-#: Per-worker render pipeline, installed by a pool broadcast after the
-#: feeds are collected.  Worker-local by construction: the broadcast
-#: runs inside each forked worker, so this global never changes in the
-#: parent process.
-_RENDER_PIPELINE: Optional["PaperPipeline"] = None
+#: The artifacts of :meth:`PaperPipeline.render_all`, in paper order;
+#: each is rendered by the pipeline's ``render_<artifact>`` method.
+ARTIFACTS = tuple(
+    [f"table{i}" for i in (1, 2, 3)] + [f"figure{i}" for i in range(1, 13)]
+)
 
 
-def _pool_install_render_state(
-    payload: "Tuple[List[PackedColumns], int, List[str]]",
+@dataclasses.dataclass(eq=False)
+class _RunState(CollectState):
+    """The state a pipeline's pool tasks run against.
+
+    Collect tasks read the world and collectors; render tasks read
+    ``result``.  In-process this is the parent's own state, holding the
+    result as soon as collection finishes.  Forked workers inherit a
+    copy at fork time; when the fork preceded collection, a broadcast
+    of :func:`_install_render_state` fills in their ``result``.
+    """
+
+    config: EcosystemConfig
+    seed: int
+    feed_order: Sequence[str]
+    result: Optional[PipelineResult] = None
+    _renderer: Optional["PaperPipeline"] = dataclasses.field(
+        default=None, init=False, repr=False
+    )
+
+    def renderer(self) -> "PaperPipeline":
+        """A pool-free pipeline over ``result`` (built once per process)."""
+        if self._renderer is None:
+            renderer = PaperPipeline(
+                self.config, seed=self.seed, feed_order=self.feed_order
+            )
+            renderer._result = self.result
+            self._renderer = renderer
+        return self._renderer
+
+
+def _install_render_state(
+    state: _RunState, datasets: Dict[str, FeedDataset]
 ) -> bool:
-    """Pool broadcast handler: build this worker's render pipeline.
+    """Pool broadcast: give a forked worker the collected result.
 
     The world is inherited copy-on-write (it existed when the pool
-    forked); only the collected columns -- which did not -- are shipped,
-    as packed blobs.  Each worker assembles its own comparison and warms
-    the shared crawl so the subsequent render tasks find everything
-    cached.  Rendering is a pure function of ``(world, datasets, seed)``,
-    so worker-built state yields byte-identical text.
+    forked); only the datasets -- which did not -- are shipped, as
+    packed columns.  Each worker assembles its own comparison and warms
+    the shared crawl so the render tasks find everything cached.
+    Rendering is a pure function of ``(world, datasets, seed)``, so
+    worker-built state yields byte-identical text.
     """
-    global _RENDER_PIPELINE
-    packed, seed, feed_order = payload
-    world = pool_world()
-    datasets: Dict[str, FeedDataset] = {
-        p.name: ColumnarFeedDataset.from_packed(p) for p in packed
-    }
-    comparison = FeedComparison(world, datasets, seed=seed)
-    pipeline = PaperPipeline(seed=seed, feed_order=feed_order)
-    pipeline._result = PipelineResult(world, datasets, comparison)
+    comparison = FeedComparison(state.world, datasets, seed=state.seed)
     comparison.crawl_results()
-    _RENDER_PIPELINE = pipeline  # reprolint: disable=REP009 -- post-fork, worker-local install
+    state.result = PipelineResult(state.world, datasets, comparison)
     return True
 
 
-def _pool_render_task(name: str) -> str:
-    """Pool task: run one named renderer on the installed pipeline."""
-    if _RENDER_PIPELINE is None:
-        raise RuntimeError(
-            "render state was not installed in this pool worker"
-        )
-    render = getattr(_RENDER_PIPELINE, name)
-    return str(render())
+def _render_task(state: _RunState, name: str) -> str:
+    """Pool task: run one named renderer over the state's result."""
+    if state.result is None:
+        raise RuntimeError("render state was not installed in this worker")
+    return str(getattr(state.renderer(), name)())
 
 
 class PaperPipeline:
@@ -164,11 +174,12 @@ class PaperPipeline:
         #: it, so results are byte-identical with or without one.
         self.store = store
         self._result: Optional[PipelineResult] = None
-        #: The persistent worker pool, forked once per run immediately
-        #: after the world is built (cold runs with ``jobs`` > 1 only).
-        #: It stays alive across collect and render so both stages
+        #: The run's worker pool: opened right after the world build on
+        #: a cold run (after the cached state loads, on a state-cache
+        #: hit), it serves collect and render alike, so both stages
         #: share one fork bill; :meth:`close` releases it.
         self._pool: Optional[WorkerPool] = None
+        #: Whether the pool's workers hold the collected result.
         self._render_installed = False
 
     # ------------------------------------------------------------------
@@ -265,20 +276,17 @@ class PaperPipeline:
                 collectors = (
                     self._collectors or standard_feed_suite(self.seed)
                 )
-                self._fork_pool(world, collectors)
+                pool = self._open_pool(world, collectors)
                 with obs.span("feeds.collect", feeds=len(collectors)):
                     datasets = collect_all(
-                        world,
-                        collectors,
-                        jobs=self.jobs,
-                        writer=writer,
-                        pool=self._pool,
+                        world, collectors, writer=writer, pool=pool
                     )
                 with obs.span("comparison.assemble"):
                     comparison = FeedComparison(
                         world, datasets, seed=self.seed
                     )
                 self._result = PipelineResult(world, datasets, comparison)
+                pool.state.result = self._result
                 with obs.span("cache.store-state"):
                     self._store_state(self._result)
             elif writer is not None:
@@ -293,44 +301,54 @@ class PaperPipeline:
                 writer.finish()
         return self._result
 
-    def _fork_pool(
-        self, world: World, collectors: List[FeedCollector]
-    ) -> None:
-        """Fork the persistent worker pool (cold parallel runs only).
+    def _open_pool(
+        self, world: World, collectors: Sequence[FeedCollector]
+    ) -> WorkerPool:
+        """Open this run's pool over the state that exists right now.
 
-        Placement is the tentpole: the fork happens *after* the world
-        is built -- and after its shared placement index is pre-warmed
-        -- so every worker inherits all of it copy-on-write, and
-        *before* collection, so collect and render both reuse the same
-        workers.  Serial runs, platforms without fork, and cache hits
-        (where only the render fan-out remains and the legacy per-stage
-        pool is already optimal) skip the pool entirely.
+        Placement is the point: a forked pool inherits everything that
+        exists at construction copy-on-write.  A cold run opens it
+        *after* the world is built -- and after its shared placement
+        index is pre-warmed -- and *before* collection, so collect and
+        render reuse the same workers.  A state-cache hit opens it
+        from :meth:`render_all`, after warming the comparison, so the
+        workers inherit the whole result and need no broadcast.
         """
         width = resolve_jobs(self.jobs)
-        if width < 2 or not fork_available():
-            return
-        with obs.span("pool.fork", width=width):
+        if width > 1:
             world.placements_by_domain()
-            set_pool_state(world, list(collectors))
-            try:
-                self._pool = WorkerPool(width)
-            except WorkerCrashed:
-                clear_pool_state()  # degrade to the per-stage fan-out
+            if self._result is not None:
+                with obs.span("comparison.warm"):
+                    self._result.comparison.crawl_results()
+        self._pool = WorkerPool(width, self._run_state(world, collectors))
+        self._render_installed = self._result is not None
+        return self._pool
+
+    def _run_state(
+        self, world: World, collectors: Sequence[FeedCollector]
+    ) -> _RunState:
+        return _RunState(
+            world,
+            list(collectors),
+            self.config,
+            self.seed,
+            list(self.feed_order),
+            self._result,
+        )
 
     @property
     def pool_width(self) -> int:
-        """Live workers in the persistent pool (0 = serial or degraded)."""
-        if self._pool is None or self._pool.closed:
+        """Live forked workers in the run's pool (0 = in-process)."""
+        if self._pool is None or self._pool.closed or not self._pool.forked:
             return 0
         return self._pool.width
 
     def close(self) -> None:
-        """Release the worker pool and its pre-fork state.  Idempotent."""
+        """Release the worker pool.  Idempotent."""
         if self._pool is not None:
             self._pool.close()
             self._pool = None
             self._render_installed = False
-            clear_pool_state()
 
     def __enter__(self) -> "PaperPipeline":
         return self
@@ -641,16 +659,16 @@ class PaperPipeline:
     # Everything at once
     # ------------------------------------------------------------------
 
-    def render_all(self, jobs: Optional[int] = None) -> str:
+    def render_all(self) -> str:
         """Every table and figure, separated by blank lines.
 
         The fifteen renderers are independent given a warmed
-        comparison, so with ``jobs`` > 1 they fan out across a worker
-        pool and come back joined in the fixed paper order -- the text
-        is byte-identical at any worker count.  When this run forked a
-        persistent pool, the renderers reuse its workers (one broadcast
-        installs the collected columns; the world was inherited at fork
-        time) instead of paying a second fork.  A warm render cache
+        comparison, so they run as tasks on the run's pool and come
+        back joined in the fixed paper order -- the text is
+        byte-identical at any pool width.  Workers forked before
+        collection first receive the collected datasets in one
+        broadcast (the world was inherited at fork time); a state-cache
+        hit forks its pool here instead.  A warm render cache
         short-circuits the whole computation.
         """
         with obs.span("render.all"):
@@ -661,66 +679,25 @@ class PaperPipeline:
                     if isinstance(cached, str):
                         return cached
 
-            renderers = [
-                self.render_table1,
-                self.render_table2,
-                self.render_table3,
-                self.render_figure1,
-                self.render_figure2,
-                self.render_figure3,
-                self.render_figure4,
-                self.render_figure5,
-                self.render_figure6,
-                self.render_figure7,
-                self.render_figure8,
-                self.render_figure9,
-                self.render_figure10,
-                self.render_figure11,
-                self.render_figure12,
-            ]
-            labels = [
-                "render." + fn.__name__[len("render_"):]
-                for fn in renderers
-            ]
-            width = resolve_jobs(self.jobs if jobs is None else jobs)
-            parts: Optional[List[str]] = None
-            if width > 1 and self._pool is not None and not self._pool.closed:
-                result = self.run()
-                try:
-                    if not self._render_installed:
-                        # One broadcast ships the packed columns into
-                        # every worker; the workers warm their own
-                        # comparison there, so the parent never pays
-                        # the crawl.
-                        packed = [
-                            result.datasets[name].packed()
-                            for name in result.datasets
-                        ]
-                        self._pool.broadcast(
-                            _pool_install_render_state,
-                            (packed, self.seed, list(self.feed_order)),
-                        )
-                        self._render_installed = True
-                    parts = self._pool.run_batch(
-                        _pool_render_task,
-                        [fn.__name__ for fn in renderers],
-                        labels=labels,
-                    )
-                except (PoolClosed, WorkerCrashed):
-                    # A reaped or crashed pool degrades to the serial /
-                    # per-stage path below; renders are pure, so the
-                    # text is identical either way.
-                    self.close()
-                    parts = None
-            if parts is None:
-                if width > 1:
-                    # Warm the shared expensive analyses before the pool
-                    # forks so every worker inherits them copy-on-write
-                    # instead of recomputing the crawl per renderer.
-                    with obs.span("comparison.warm"):
-                        self.run()
-                        self.comparison.crawl_results()
-                parts = ordered_fanout(renderers, jobs=width, labels=labels)
+            result = self.run()
+            names = [f"render_{artifact}" for artifact in ARTIFACTS]
+            labels = [f"render.{artifact}" for artifact in ARTIFACTS]
+            try:
+                pool = self._pool
+                if pool is None or pool.closed:
+                    pool = self._open_pool(result.world, [])
+                if not self._render_installed:
+                    pool.broadcast(_install_render_state, result.datasets)
+                    self._render_installed = True
+                parts = pool.run_batch(_render_task, names, labels=labels)
+            except (PoolClosed, WorkerCrashed):
+                # A crashed pool, or one an evicting serve thread closed
+                # under us, is gone; renders are pure, so running them
+                # in-process yields the identical text.
+                self.close()
+                parts = WorkerPool(
+                    1, self._run_state(result.world, [])
+                ).run_batch(_render_task, names, labels=labels)
             text = "\n\n".join(parts)
             with obs.span("cache.store-render"):
                 if cache_key is not None and self.cache is not None:

@@ -43,14 +43,12 @@ from repro.analysis.coverage import (
 )
 from repro.analysis.purity import PurityRow, purity_table
 from repro.analysis.volume import VolumeCoverageRow, volume_coverage
-from repro.ecosystem import EcosystemConfig, build_world, paper_config
+from repro.ecosystem import EcosystemConfig
 from repro.ecosystem.world import World
 from repro.feeds import (
     FeedCollector,
     FeedDataset,
     PAPER_FEED_ORDER,
-    collect_all,
-    standard_feed_suite,
 )
 from repro.io.checkpoint import (
     CheckpointError,
@@ -566,31 +564,15 @@ def build_stream_engine(
     world build itself, and ``cache`` reuses a previously built world +
     dataset state; none of them changes a byte of the stream.
     """
-    if jobs is not None or cache is not None or (shards or 1) > 1:
-        # The batch pipeline already implements cached/parallel state
-        # construction; reuse it rather than duplicating the key
-        # handling here.  Imported lazily to keep the stream layer
-        # importable without the pipeline layer.
-        from repro.pipeline.runner import PaperPipeline
+    # Imported lazily to keep the stream layer importable without the
+    # pipeline layer.
+    from repro.pipeline.runner import PaperPipeline
 
-        # Close the pipeline once collected: the stream engine only
-        # needs the state, so any persistent worker pool the run forked
-        # would otherwise idle for the engine's whole lifetime.
-        with PaperPipeline(
-            config, seed=seed, collectors=collectors,
-            feed_order=feed_order, jobs=jobs, cache=cache,
-            shards=shards,
-        ) as pipeline:
-            result = pipeline.run()
-        world, datasets = result.world, result.datasets
-    else:
-        with obs.span("world.build"):
-            world = build_world(config or paper_config(), seed=seed)
-        with obs.span("feeds.collect"):
-            datasets = collect_all(
-                world, collectors or standard_feed_suite(seed)
-            )
-    return StreamEngine(
-        world, datasets, seed=seed, feed_order=feed_order,
-        batch_size=batch_size,
-    )
+    # Close the pipeline once collected: the stream engine only needs
+    # the state, so any worker pool the run forked would otherwise idle
+    # for the engine's whole lifetime.
+    with PaperPipeline(
+        config, seed=seed, collectors=collectors, feed_order=feed_order,
+        jobs=jobs, cache=cache, shards=shards,
+    ) as pipeline:
+        return pipeline.stream_engine(batch_size)

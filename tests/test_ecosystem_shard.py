@@ -36,7 +36,7 @@ from repro.ecosystem.shard import (
 )
 from repro.io.artifacts import fingerprint
 from repro.parallel import WorkerCrashed
-from repro.parallel.fanout import fork_available
+from repro.parallel import fork_available
 from repro.stats.rng import SeedSequence
 
 needs_fork = pytest.mark.skipif(
@@ -44,7 +44,7 @@ needs_fork = pytest.mark.skipif(
 )
 
 
-def _crash_task(payload):  # pragma: no cover - runs in a worker
+def _crash_task(state, payload):  # pragma: no cover - runs in a worker
     os._exit(21)
 
 

@@ -1,15 +1,18 @@
-"""Lifecycle and safety of the persistent worker pool.
+"""Lifecycle and safety of the worker pool.
 
 Equivalence of pool-executed pipelines lives in
 ``test_parallel_equivalence.py``; this module covers the pool's own
 contract: ordered results, exception shipping, crash detection (a dead
-worker must raise, not hang), idempotent shutdown, broadcast-installed
-worker state, and counter folding.
+worker must raise, not hang), no stale replies after a failed
+dispatch, idempotent shutdown, per-pool worker state, broadcast-
+installed worker state, the in-process width-1 mode, and counter
+folding.
 """
 
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -19,40 +22,61 @@ from repro.parallel.pool import _OP_STOP
 
 
 # Pool tasks are pickled by reference, so they must be module-level.
+# Every task is ``fn(state, payload)``.
 
 
-def _square(x: int) -> int:
+def _square(state, x: int) -> int:
     return x * x
 
 
-def _fail_on_two(x: int) -> int:
+def _fail_on_two(state, x: int) -> int:
     if x == 2:
         raise ValueError("boom on two")
     return x
 
 
-def _die(x: int) -> int:  # pragma: no cover - runs in a worker
+def _die(state, x: int) -> int:  # pragma: no cover - runs in a worker
     os._exit(13)
 
 
-def _count(x: int) -> int:
+def _count(state, x: int) -> int:
     obs.add("pooltest.count", x)
     obs.add("pooltest.half", 0.5)
     return x
 
 
-#: Worker-local slot written by a broadcast, read by later tasks.
-_INSTALLED = None
+def _echo_state(state, _):
+    return state
 
 
-def _install(value):  # pragma: no cover - runs in workers
-    global _INSTALLED
-    _INSTALLED = value  # reprolint: disable=REP009 -- post-fork, worker-local install
+def _pid(state, _):
+    return os.getpid()
+
+
+def _boom_or_sleep(state, tag: str) -> str:
+    """``boom`` fails at once; ``slow-*`` replies after its sibling failed."""
+    if tag == "boom":
+        raise ValueError("boom")
+    if tag.startswith("slow"):
+        time.sleep(0.3)
+    return tag
+
+
+def _install(state, value):  # pragma: no cover - runs in workers
+    state["installed"] = value
     return True
 
 
-def _read_installed(_):  # pragma: no cover - runs in workers
-    return _INSTALLED
+def _read_installed(state, _):  # pragma: no cover - runs in workers
+    return state.get("installed")
+
+
+def _fail_in_worker(state, pid):  # pragma: no cover - runs in workers
+    """A broadcast handler that raises in the worker with *pid* only."""
+    if os.getpid() == pid:
+        raise ValueError("broadcast boom")
+    time.sleep(0.2)
+    return "installed"
 
 
 class TestRunBatch:
@@ -91,6 +115,104 @@ class TestRunBatch:
             # stays usable for the caller to decide what to do.
             assert not pool.closed
             assert pool.run_batch(_square, [5]) == [25]
+
+    def test_state_reaches_tasks(self):
+        with WorkerPool(2, {"k": 1}) as pool:
+            assert pool.run_batch(_echo_state, [None] * 4) == [{"k": 1}] * 4
+
+    def test_concurrent_pools_keep_their_own_state(self):
+        # State is a fork-time Process argument, never a module
+        # global: a second pool forked while the first is alive cannot
+        # overwrite what the first one's workers see.
+        with WorkerPool(2, "first") as first:
+            with WorkerPool(2, "second") as second:
+                assert second.run_batch(_echo_state, [0, 1]) == [
+                    "second", "second",
+                ]
+                assert first.run_batch(_echo_state, [0, 1]) == [
+                    "first", "first",
+                ]
+
+
+class TestNoStaleReplies:
+    def test_failed_batch_leaves_no_reply_in_flight(self):
+        # "boom" fails at once on worker 0 while worker 1 is still
+        # running "slow-A"; that late reply must not surface in the
+        # next batch.
+        with WorkerPool(2) as pool:
+            with pytest.raises(ValueError, match="boom"):
+                pool.run_batch(_boom_or_sleep, ["boom", "slow-A"])
+            assert pool.run_batch(_boom_or_sleep, ["B0", "B1"]) == [
+                "B0", "B1",
+            ]
+
+    def test_failed_broadcast_leaves_no_reply_in_flight(self):
+        with WorkerPool(2, {}) as pool:
+            with pytest.raises(ValueError, match="broadcast boom"):
+                pool.broadcast(_fail_in_worker, pool._workers[0].pid)
+            assert pool.run_batch(_square, [3, 4]) == [9, 16]
+
+    def test_abandoned_stream_closes_the_pool(self):
+        pool = WorkerPool(2)
+        try:
+            stream = pool.run_stream(_boom_or_sleep, ["A", "slow-B", "C"])
+            assert next(stream) == (0, "A")
+            stream.close()
+            # Replies were still in flight: the pool must not hand
+            # them to a later dispatch.
+            assert pool.closed
+            with pytest.raises(PoolClosed):
+                pool.run_batch(_square, [1])
+        finally:
+            pool.close()
+
+
+class TestInProcess:
+    """Width 1 runs tasks inline in the parent: no fork, same contract."""
+
+    def test_runs_in_the_parent_process(self):
+        with WorkerPool(1) as pool:
+            assert not pool.forked
+            assert pool.width == 1
+            assert pool.run_batch(_pid, [None] * 3) == [os.getpid()] * 3
+
+    def test_state_is_the_parents_own(self):
+        state = {"k": 1}
+        with WorkerPool(1, state) as pool:
+            assert pool.run_batch(_echo_state, [None])[0] is state
+
+    def test_broadcast_does_nothing(self):
+        state = {}
+        with WorkerPool(1, state) as pool:
+            assert pool.broadcast(_install, 42) == []
+        assert state == {}
+
+    def test_task_exception_propagates(self):
+        with WorkerPool(1) as pool:
+            with pytest.raises(ValueError, match="boom on two"):
+                pool.run_batch(_fail_on_two, [0, 1, 2, 3])
+            assert pool.run_batch(_square, [5]) == [25]
+
+    def test_no_fork_runs_in_process(self, monkeypatch):
+        import repro.parallel.pool as pool_mod
+
+        monkeypatch.setattr(pool_mod, "fork_available", lambda: False)
+        with WorkerPool(4) as pool:
+            assert not pool.forked
+            assert pool.run_batch(_square, [1, 2, 3]) == [1, 4, 9]
+
+    def test_counters_match_forked(self):
+        counters = []
+        for width in (1, 3):
+            tracer = obs.Tracer()
+            with obs.activate(tracer):
+                with WorkerPool(width) as pool:
+                    pool.run_batch(_count, list(range(1, 7)))
+            counters.append(tracer.metrics.snapshot()["counters"])
+        for name in ("pooltest.count", "pooltest.half", "fanout.tasks"):
+            assert counters[0][name] == counters[1][name]
+            assert type(counters[0][name]) is type(counters[1][name])
+        assert counters[0]["worker.0.tasks"] == 6
 
 
 class TestCrashSafety:
@@ -145,7 +267,7 @@ class TestShutdown:
 
     def test_minimum_width(self):
         with pytest.raises(ValueError):
-            WorkerPool(1)
+            WorkerPool(0)
 
     def test_stop_opcode_is_distinct(self):
         # The stop opcode shares the task pipe; a clash with the task
@@ -155,14 +277,15 @@ class TestShutdown:
 
 class TestBroadcast:
     def test_broadcast_installs_worker_local_state(self):
-        with WorkerPool(2) as pool:
+        state = {}
+        with WorkerPool(2, state) as pool:
             acks = pool.broadcast(_install, {"payload": 42})
             assert acks == [True, True]
             # Every worker sees the installed state in later tasks.
             seen = pool.run_batch(_read_installed, [None] * 6)
             assert seen == [{"payload": 42}] * 6
-        # The parent's module global never changed (worker-local).
-        assert _INSTALLED is None
+        # The parent's copy of the state never changed (worker-local).
+        assert state == {}
 
 
 class TestCounterFolding:
@@ -171,7 +294,7 @@ class TestCounterFolding:
         serial = obs.Tracer()
         with obs.activate(serial):
             for value in payloads:
-                _count(value)
+                _count(None, value)
         pooled = obs.Tracer()
         with obs.activate(pooled):
             # The pool inherits the active tracer at fork time, like

@@ -49,7 +49,7 @@ def rules_hit(source, path="/fixtures/snippet.py"):
     return {f.rule for f in findings_for(source, path)}
 
 
-FANOUT_IMPORT = "from repro.parallel.fanout import ordered_fanout\n"
+POOL_IMPORT = "from repro.parallel import WorkerPool\n"
 
 
 # ----------------------------------------------------------------------
@@ -63,16 +63,16 @@ class TestRep009ForkSafety:
         # module global through `global`.
         findings = findings_for(
             """
-            from repro.parallel.fanout import ordered_fanout
+            from repro.parallel import WorkerPool
             COUNT = 0
 
-            def work():
+            def work(state, payload):
                 global COUNT
                 COUNT = COUNT + 1
                 return COUNT
 
             def run_all():
-                return ordered_fanout([work], jobs=2)
+                return WorkerPool(2).run_batch(work, [0])
             """
         )
         assert [f.rule for f in findings] == ["REP009"]
@@ -82,41 +82,42 @@ class TestRep009ForkSafety:
     def test_mutating_method_on_module_object(self):
         assert "REP009" in rules_hit(
             """
-            from repro.parallel.fanout import ordered_fanout
+            from repro.parallel import WorkerPool
             RESULTS = []
 
-            def work():
+            def work(state, payload):
                 RESULTS.append(1)
                 return len(RESULTS)
 
             def run_all():
-                return ordered_fanout([work], jobs=2)
+                return WorkerPool(2).run_batch(work, [0])
             """
         )
 
     def test_closed_over_mutation_through_lambda(self):
         assert "REP009" in rules_hit(
             """
-            from repro.parallel.fanout import ordered_fanout
+            from repro.parallel import WorkerPool
             def run_all():
                 shared = []
-                tasks = [lambda: shared.append(1) for _ in range(3)]
-                return ordered_fanout(tasks, jobs=2)
+                return WorkerPool(2).run_batch(
+                    lambda state, i: shared.append(i), range(3)
+                )
             """
         )
 
     def test_subscript_store_on_module_dict(self):
         assert "REP009" in rules_hit(
             """
-            from repro.parallel.fanout import ordered_fanout
+            from repro.parallel import WorkerPool
             CACHE = {}
 
-            def work():
+            def work(state, payload):
                 CACHE["k"] = 1
                 return CACHE
 
             def run_all():
-                return ordered_fanout([work], jobs=2)
+                return WorkerPool(2).run_batch(work, [0])
             """
         )
 
@@ -124,7 +125,7 @@ class TestRep009ForkSafety:
         # The write is two calls below the task root.
         assert "REP009" in rules_hit(
             """
-            from repro.parallel.fanout import ordered_fanout
+            from repro.parallel import WorkerPool
             STATE = {}
 
             def inner():
@@ -133,12 +134,12 @@ class TestRep009ForkSafety:
             def middle():
                 inner()
 
-            def work():
+            def work(state, payload):
                 middle()
                 return 1
 
             def run_all():
-                return ordered_fanout([work], jobs=2)
+                return WorkerPool(2).run_batch(work, [0])
             """
         )
 
@@ -146,17 +147,17 @@ class TestRep009ForkSafety:
         # The same write NOT reachable from any fan-out is fine.
         assert rules_hit(
             """
-            from repro.parallel.fanout import ordered_fanout
+            from repro.parallel import WorkerPool
             STATE = {}
 
             def writer():
                 STATE["k"] = 1
 
-            def work():
+            def work(state, payload):
                 return 1
 
             def run_all():
-                return ordered_fanout([work], jobs=2)
+                return WorkerPool(2).run_batch(work, [0])
             """
         ) == set()
 
@@ -164,14 +165,14 @@ class TestRep009ForkSafety:
         # The fixed shape: tasks build and return their own state.
         assert rules_hit(
             """
-            from repro.parallel.fanout import ordered_fanout
-            def work():
+            from repro.parallel import WorkerPool
+            def work(state, payload):
                 local = []
                 local.append(1)
                 return local
 
             def run_all():
-                parts = ordered_fanout([work], jobs=2)
+                parts = WorkerPool(2).run_batch(work, [0])
                 merged = []
                 for part in parts:
                     merged.extend(part)
@@ -184,30 +185,30 @@ class TestRep009ForkSafety:
         # not a method on a shared object.
         assert rules_hit(
             """
-            from repro.parallel.fanout import ordered_fanout
+            from repro.parallel import WorkerPool
             from repro import obs
 
-            def work():
+            def work(state, payload):
                 obs.add("tasks")
                 return 1
 
             def run_all():
-                return ordered_fanout([work], jobs=2)
+                return WorkerPool(2).run_batch(work, [0])
             """
         ) == set()
 
     def test_pragma_suppresses_with_justification(self):
         assert rules_hit(
             """
-            from repro.parallel.fanout import ordered_fanout
+            from repro.parallel import WorkerPool
             MEMO = {}
 
-            def work():
+            def work(state, payload):
                 MEMO["pin"] = 1  # reprolint: disable=REP009 -- idempotent memo
                 return 1
 
             def run_all():
-                return ordered_fanout([work], jobs=2)
+                return WorkerPool(2).run_batch(work, [0])
             """
         ) == set()
 
@@ -358,14 +359,14 @@ class TestRep010StreamDiscipline:
         findings = findings_for(
             """
             from random import Random
-            from repro.parallel.fanout import ordered_fanout
+            from repro.parallel import WorkerPool
             shared_rng = Random(7)
 
-            def draw():
+            def draw(state, payload):
                 return shared_rng.random()
 
             def run_all():
-                return ordered_fanout([draw], jobs=2)
+                return WorkerPool(2).run_batch(draw, [0])
             """
         )
         assert [f.rule for f in findings] == ["REP010"]
@@ -376,11 +377,12 @@ class TestRep010StreamDiscipline:
         assert "REP010" in rules_hit(
             """
             from random import Random
-            from repro.parallel.fanout import ordered_fanout
+            from repro.parallel import WorkerPool
             def run_all():
                 rng = Random(7)
-                tasks = [lambda: rng.random() for _ in range(3)]
-                return ordered_fanout(tasks, jobs=2)
+                return WorkerPool(2).run_batch(
+                    lambda state, i: rng.random(), range(3)
+                )
             """
         )
 
@@ -388,17 +390,17 @@ class TestRep010StreamDiscipline:
         findings = findings_for(
             """
             from random import Random
-            from repro.parallel.fanout import ordered_fanout
+            from repro.parallel import WorkerPool
             shared_rng = Random(7)
 
             def helper(rng):
                 return rng.random()
 
-            def work():
+            def work(state, payload):
                 return helper(shared_rng)
 
             def run_all():
-                return ordered_fanout([work], jobs=2)
+                return WorkerPool(2).run_batch(work, [0])
             """
         )
         assert {f.rule for f in findings} == {"REP010"}
@@ -411,7 +413,7 @@ class TestRep010StreamDiscipline:
         findings = findings_for(
             """
             from random import Random
-            from repro.parallel.fanout import ordered_fanout
+            from repro.parallel import WorkerPool
             class Oracle:
                 def __init__(self):
                     self.rng = Random(7)
@@ -421,11 +423,11 @@ class TestRep010StreamDiscipline:
 
             ORACLE = Oracle()
 
-            def work():
+            def work(state, payload):
                 return ORACLE.observe()
 
             def run_all():
-                return ordered_fanout([work], jobs=2)
+                return WorkerPool(2).run_batch(work, [0])
             """
         )
         assert {f.rule for f in findings} == {"REP010"}
@@ -435,14 +437,13 @@ class TestRep010StreamDiscipline:
         assert rules_hit(
             """
             from repro.stats.rng import derive_rng
-            from repro.parallel.fanout import ordered_fanout
-            def work(label):
+            from repro.parallel import WorkerPool
+            def work(state, label):
                 rng = derive_rng(7, label)
                 return rng.random()
 
             def run_all():
-                tasks = [lambda: work("a"), lambda: work("b")]
-                return ordered_fanout(tasks, jobs=2)
+                return WorkerPool(2).run_batch(work, ["a", "b"])
             """
         ) == set()
 
@@ -452,7 +453,7 @@ class TestRep010StreamDiscipline:
             from random import Random
             shared_rng = Random(7)
 
-            def draw():
+            def draw(state, payload):
                 return shared_rng.random()
             """
         ) == set()
@@ -715,13 +716,13 @@ def write_fixture_tree(tmp_path):
     tmp_path.mkdir(parents=True, exist_ok=True)
     (tmp_path / "clean.py").write_text("value = 1\n")
     (tmp_path / "bad.py").write_text(
-        FANOUT_IMPORT
+        POOL_IMPORT
         + "STATE = {}\n"
-        "def work():\n"
+        "def work(state, payload):\n"
         '    STATE["k"] = 1\n'
         "    return 1\n"
         "def run_all():\n"
-        "    return ordered_fanout([work], jobs=2)\n"
+        "    return WorkerPool(2).run_batch(work, [0])\n"
     )
 
 

@@ -643,29 +643,29 @@ def seed_all_rule_violations(tmp_path):
         "import time\nstarted = time.perf_counter()\n"
     )
     (tmp_path / "rep009.py").write_text(
-        "from repro.parallel.fanout import ordered_fanout\n"
+        "from repro.parallel import WorkerPool\n"
         "\n"
         "COUNT = 0\n"
         "\n"
-        "def work():\n"
+        "def work(state, payload):\n"
         "    global COUNT\n"
         "    COUNT = COUNT + 1\n"
         "    return COUNT\n"
         "\n"
         "def run_all():\n"
-        "    return ordered_fanout([work], jobs=2)\n"
+        "    return WorkerPool(2).run_batch(work, [0])\n"
     )
     (tmp_path / "rep010.py").write_text(
         "from random import Random\n"
-        "from repro.parallel.fanout import ordered_fanout\n"
+        "from repro.parallel import WorkerPool\n"
         "\n"
         "shared_rng = Random(7)\n"
         "\n"
-        "def draw():\n"
+        "def draw(state, payload):\n"
         "    return shared_rng.random()\n"
         "\n"
         "def run_all():\n"
-        "    return ordered_fanout([draw], jobs=2)\n"
+        "    return WorkerPool(2).run_batch(draw, [0])\n"
     )
     (tmp_path / "rep011.py").write_text(
         "def helper():\n"
