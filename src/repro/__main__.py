@@ -4,8 +4,9 @@ Subcommands:
 
 * ``run``       -- build the world, collect the feeds, print/write every
                    table and figure.
-* ``stream``    -- consume the feeds incrementally in simulation-time
-                   order, with windowed snapshots and checkpoint/resume.
+* ``stream``    -- Tables 1-3 as of any simulated day (a time-prefix of
+                   every feed), with windowed snapshots and
+                   checkpoint/resume.
 * ``query``     -- answer cross-run questions (first-seen, feed stats,
                    sighting listings) from a persisted sighting store.
 * ``serve``     -- long-lived query daemon over a local HTTP socket:
@@ -46,7 +47,7 @@ from repro.ecosystem import (
     small_config,
 )
 from repro.io.artifacts import ArtifactCache, default_cache_dir, fingerprint
-from repro.io.checkpoint import CheckpointError, read_checkpoint_any
+from repro.io.checkpoint import CheckpointError
 from repro.obs.hosttime import Stopwatch
 from repro.obs.manifest import (
     ManifestError,
@@ -67,8 +68,7 @@ from repro.store.query import (
     render_runs,
     render_sightings,
 )
-from repro.stream import CHECKPOINT_KIND, build_stream_engine
-from repro.stream.engine import CURSOR_CHECKPOINT_KIND
+from repro.stream import build_stream_engine
 
 
 def _progress(args, message: str) -> None:
@@ -222,7 +222,6 @@ def _stream_body(args, store: Optional[SightingStore] = None) -> int:
     engine = build_stream_engine(
         config,
         seed=args.seed,
-        batch_size=args.batch_size,
         jobs=args.jobs,
         cache=_artifact_cache(args),
         shards=getattr(args, "shards", None),
@@ -241,21 +240,7 @@ def _stream_body(args, store: Optional[SightingStore] = None) -> int:
 
     if args.resume:
         try:
-            kind, payload = read_checkpoint_any(
-                args.resume, (CHECKPOINT_KIND, CURSOR_CHECKPOINT_KIND)
-            )
-            if kind == CURSOR_CHECKPOINT_KIND:
-                if store is None:
-                    print(
-                        f"error: {args.resume} is a store-backed cursor "
-                        "checkpoint; pass --store with the file the "
-                        "checkpointing run landed into",
-                        file=sys.stderr,
-                    )
-                    return 2
-                engine.restore_from_store(payload, store)
-            else:
-                engine.restore(payload)
+            engine.resume(args.resume)
         except CheckpointError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -266,9 +251,9 @@ def _stream_body(args, store: Optional[SightingStore] = None) -> int:
         )
 
     if store is not None:
-        # Attach after any resume so the writer's per-feed positions
-        # line up with the merge cursors of the suffix still to come.
-        engine.attach_store(store, args.store, fingerprint(config))
+        # The first advance after attaching lands every feed's prefix
+        # from record 0, so a resumed run's store is complete too.
+        engine.attach_store(store, fingerprint(config))
 
     timeline = engine.world.timeline
     total_days = int(timeline.duration_days)
@@ -293,10 +278,8 @@ def _stream_body(args, store: Optional[SightingStore] = None) -> int:
             day += args.snapshot_every
         while day < stop_day:
             engine.advance_to_day(day)
-            union = engine.state.union_size
-            exclusive = sum(
-                row.exclusive for row in engine.online_coverage()
-            )
+            snapshot = engine.snapshot()
+            union, exclusive = snapshot.domain_spread()
             _progress(
                 args,
                 f"[stream] day {day}/{total_days}: "
@@ -306,7 +289,6 @@ def _stream_body(args, store: Optional[SightingStore] = None) -> int:
                 f"{throughput():,.0f} records/s",
             )
             if args.tables:
-                snapshot = engine.snapshot()
                 print(snapshot.header())
                 print(snapshot.render_tables())
                 print()
@@ -651,10 +633,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     stream_parser.add_argument(
         "--tables", action="store_true",
         help="print full Table 1/2/3 at every snapshot, not just at the end",
-    )
-    stream_parser.add_argument(
-        "--batch-size", type=int, default=4096,
-        help="maximum records per merge batch",
     )
     stream_parser.add_argument(
         "--until-day", type=int, default=None, metavar="DAY",

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Optional, Set
 
 from repro.ecosystem.world import World
-from repro.feeds.base import FeedStats, FeedType
+from repro.feeds.base import FeedDataset, FeedType
 from repro.oracles.crawler import CrawlOracle, CrawlResult
 from repro.oracles.dns_zone import ZoneOracle
 from repro.oracles.mail_oracle import IncomingMailOracle
@@ -16,11 +16,10 @@ from repro.simtime import SimTime
 class FeedComparison:
     """Couples feed datasets with oracles and derived domain sets.
 
-    Accepts any mapping of :class:`~repro.feeds.base.FeedStats`
-    providers -- record-backed :class:`~repro.feeds.base.FeedDataset`
-    objects from a batch run or counter-backed accumulators from a
-    drained :mod:`repro.stream` engine -- and produces identical
-    results for identical statistics.
+    Accepts any mapping of :class:`~repro.feeds.base.FeedDataset`
+    objects -- a batch run's collected datasets or a :mod:`repro.stream`
+    snapshot's as-of-day prefixes -- and produces identical results for
+    identical records.
 
     Mirrors the paper's data handling:
 
@@ -36,12 +35,12 @@ class FeedComparison:
     def __init__(
         self,
         world: World,
-        datasets: Mapping[str, FeedStats],
+        datasets: Mapping[str, FeedDataset],
         seed: int = 0,
         restrict_blacklists: bool = True,
     ):
         self.world = world
-        self.datasets: Dict[str, FeedStats] = dict(datasets)
+        self.datasets: Dict[str, FeedDataset] = dict(datasets)
         if not self.datasets:
             raise ValueError("need at least one feed dataset")
         self.zone = ZoneOracle.from_world(world)

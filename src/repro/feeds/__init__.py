@@ -28,7 +28,6 @@ from repro.feeds.base import (
     FeedCollector,
     FeedDataset,
     FeedRecord,
-    FeedStats,
     FeedType,
 )
 from repro.feeds.mx_honeypot import MxHoneypotConfig, MxHoneypotFeed
@@ -54,7 +53,6 @@ __all__ = [
     "FeedCollector",
     "FeedDataset",
     "FeedRecord",
-    "FeedStats",
     "FeedType",
     "HoneyAccountConfig",
     "HoneyAccountFeed",

@@ -12,10 +12,8 @@ from typing import (
     List,
     NamedTuple,
     Optional,
-    Protocol,
     Set,
     Tuple,
-    runtime_checkable,
 )
 
 from repro.ecosystem.world import World
@@ -104,38 +102,13 @@ class PackedColumns(NamedTuple):
         )
 
 
-@runtime_checkable
-class FeedStats(Protocol):
-    """The statistics surface every analysis consumes.
-
-    Both the batch :class:`FeedDataset` (record-backed) and the
-    streaming :class:`~repro.stream.state.FeedAccumulator`
-    (counter-backed) satisfy this protocol, which is what lets
-    :class:`~repro.analysis.context.FeedComparison` serve either path
-    with identical results.
-    """
-
-    name: str
-    feed_type: FeedType
-    has_volume: bool
-
-    @property
-    def total_samples(self) -> int: ...
-
-    @property
-    def n_unique(self) -> int: ...
-
-    def unique_domains(self) -> Set[str]: ...
-
-    def domain_counts(self) -> EmpiricalDistribution: ...
-
-    def first_seen(self) -> Dict[str, SimTime]: ...
-
-    def last_seen(self) -> Dict[str, SimTime]: ...
-
-
 class FeedDataset:
     """The collected output of one feed over the measurement window.
+
+    This is the statistics surface every analysis consumes
+    (:class:`~repro.analysis.context.FeedComparison` takes a mapping of
+    these), whether the records are a whole collected run or a
+    :mod:`repro.stream` as-of-day prefix.
 
     For volume-bearing feeds every record corresponds to one captured
     message (sample); blacklist-style feeds carry a single record per
@@ -220,13 +193,13 @@ class FeedDataset:
         return self._last_seen
 
     def chronological_records(self) -> List[FeedRecord]:
-        """Records in non-decreasing time order (stream emission order).
+        """Records in non-decreasing time order.
 
         Collector output is already time-sorted (``_finalize`` sorts),
         in which case the record list itself is returned; otherwise a
         stable-sorted copy is cached, preserving the original relative
-        order of same-minute sightings.  The streaming merge layer
-        requires this ordering for deterministic interleaving.
+        order of same-minute sightings.  The stream engine slices its
+        as-of-day prefixes from this order.
         """
         if self._chronological is None:
             records = self.records
@@ -295,14 +268,14 @@ from repro.io.columns import (  # noqa: E402
 class ColumnarFeedDataset(FeedDataset):
     """A :class:`FeedDataset` backed by a :class:`ColumnBlock`.
 
-    Serves the whole :class:`FeedStats` surface straight from the two
-    flat columns -- the per-record ``FeedRecord`` list is materialized
-    lazily, only if a consumer (streaming merge, CSV export) actually
-    asks for ``.records``.  Statistics come from the array-at-a-time
-    kernels in :mod:`repro.io.columns`, which reproduce every derived
-    value of the record-backed path exactly -- sets, counts, first/last
-    sightings *and their dict insertion orders* (first-appearance
-    order), which downstream iteration orders depend on.
+    Serves every statistic straight from the two flat columns -- the
+    per-record ``FeedRecord`` list is materialized lazily, only if a
+    consumer (CSV export, say) actually asks for ``.records``.
+    Statistics come from the array-at-a-time kernels in
+    :mod:`repro.io.columns`, which reproduce every derived value of the
+    record-backed path exactly -- sets, counts, first/last sightings
+    *and their dict insertion orders* (first-appearance order), which
+    downstream iteration orders depend on.
     """
 
     def __init__(
@@ -371,6 +344,11 @@ class ColumnarFeedDataset(FeedDataset):
         self._counts: Optional[EmpiricalDistribution] = None
         self._first_seen: Optional[Dict[str, SimTime]] = None
         self._last_seen: Optional[Dict[str, SimTime]] = None
+
+    @property
+    def block(self) -> ColumnBlock:
+        """The backing column block (treat as immutable)."""
+        return self._block
 
     @property  # type: ignore[override]
     def records(self) -> List[FeedRecord]:

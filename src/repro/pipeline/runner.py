@@ -375,15 +375,15 @@ class PaperPipeline:
         """The (lazily built) analysis context."""
         return self.run().comparison
 
-    def stream_engine(self, batch_size: Optional[int] = None):
+    def stream_engine(self):
         """A fresh :class:`~repro.stream.StreamEngine` over this run's data.
 
-        The engine replays the already-collected records incrementally;
+        The engine slices the already-collected datasets by day;
         draining it and snapshotting reproduces this pipeline's
-        Table 1/2/3 byte-for-byte.
+        Table 1/2/3 byte-for-byte.  Its run key is the store's, so its
+        checkpoints only resume against this (config, seed).
         """
         from repro.stream.engine import StreamEngine
-        from repro.stream.merge import DEFAULT_BATCH_SIZE
 
         result = self.run()
         return StreamEngine(
@@ -391,7 +391,7 @@ class PaperPipeline:
             result.datasets,
             seed=self.seed,
             feed_order=self.feed_order,
-            batch_size=batch_size or DEFAULT_BATCH_SIZE,
+            run_key=run_key_for(fingerprint(self.config), self.seed),
         )
 
     def _present_feeds(self, wanted: Sequence[str]) -> List[str]:

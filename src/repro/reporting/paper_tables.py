@@ -1,9 +1,10 @@
 """Shared Table 1/2/3 builders used by both batch and streaming paths.
 
-The batch :class:`~repro.pipeline.runner.PaperPipeline` and the
-streaming :class:`~repro.stream.engine.StreamSnapshot` must emit
-byte-identical tables once a stream is fully drained, so the data
-assembly and rendering live here, in one place, and both call in.
+The batch :class:`~repro.pipeline.runner.PaperPipeline` renders a
+run's collected datasets; :class:`~repro.stream.engine.StreamSnapshot`
+renders as-of-day prefixes of the same datasets and must print the
+batch tables byte-for-byte once drained, so the data assembly and
+rendering live here, in one place, and both call in.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ def table1_data(
     """Table 1 cells: total samples and unique domains per feed.
 
     *datasets* maps feed name to any object with ``total_samples`` and
-    ``n_unique`` (a :class:`~repro.feeds.base.FeedDataset` or a
-    streaming accumulator).
+    ``n_unique`` (a :class:`~repro.feeds.base.FeedDataset`, whole or
+    an as-of-day prefix).
     """
     return {
         name: {

@@ -191,12 +191,6 @@ class StorageProtocol(Protocol):
         """Silver sightings in landing order, optionally filtered."""
         ...
 
-    def silver_for_feed(
-        self, run_id: int, feed: str, limit: Optional[int] = None
-    ) -> List[Tuple[str, int]]:
-        """One run's ``(domain, time)`` prefix for *feed*, landing order."""
-        ...
-
     def gold_rows(self, feed: Optional[str] = None) -> List[GoldRow]:
         """Gold aggregates ordered by (feed, domain)."""
         ...
@@ -317,18 +311,6 @@ class MemoryBackend:
             for row in self._silver
             if (feed is None or row.feed == feed)
             and (since is None or row.time >= since)
-        ]
-        if limit is not None:
-            rows = rows[:limit]
-        return rows
-
-    def silver_for_feed(
-        self, run_id: int, feed: str, limit: Optional[int] = None
-    ) -> List[Tuple[str, int]]:
-        rows = [
-            (row.domain, row.time)
-            for row in self._silver
-            if row.run_id == run_id and row.feed == feed
         ]
         if limit is not None:
             rows = rows[:limit]
@@ -631,21 +613,6 @@ class SqliteBackend:
             SilverRow(int(r[0]), int(r[1]), r[2], r[3], int(r[4]))
             for r in rows
         ]
-
-    def silver_for_feed(
-        self, run_id: int, feed: str, limit: Optional[int] = None
-    ) -> List[Tuple[str, int]]:
-        params: List[object] = [run_id, feed]
-        tail = ""
-        if limit is not None:
-            tail = " LIMIT ?"
-            params.append(limit)
-        rows = self._conn.execute(
-            "SELECT domain, time FROM silver WHERE run_id = ? AND feed = ? "
-            "ORDER BY seq" + tail,
-            params,
-        ).fetchall()
-        return [(r[0], int(r[1])) for r in rows]
 
     def gold_rows(self, feed: Optional[str] = None) -> List[GoldRow]:
         if feed is None:

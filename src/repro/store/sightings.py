@@ -8,7 +8,7 @@ sightings.  Data moves through three tiers (the FeedSpine pattern):
   never silent.
 * **silver** -- records that passed :func:`~repro.store.silver
   .validate_sighting`, normalized to ``(feed, domain, time)`` rows in
-  landing order.  The stream layer replays these as checkpoint cursors.
+  landing order.
 * **gold** -- per-``(feed, domain)`` natural-key aggregates
   ``(n_sightings, first_seen, last_seen)``, merged commutatively
   (sum / min / max), which is why batch landing, stream landing, and
@@ -19,8 +19,8 @@ Landing is **idempotent per run**: every run lands under a
 skips the per-feed prefix that a previous landing of the same run
 already wrote (bronze row counts are the cursors).  Running ``run
 --store`` and then ``stream --store`` against the same file therefore
-lands each sighting exactly once, and an interrupted stream resumes
-where it stopped.
+lands each sighting exactly once, and a resumed stream completes the
+store instead of duplicating its prefix.
 """
 
 from __future__ import annotations
@@ -96,9 +96,9 @@ class RunWriter:
 
         A writer normally assumes callers offer each feed's records
         from the start of the run (position 0) and skips the landed
-        prefix.  A resumed stream starts mid-sequence instead; it
-        declares its cursor here so position bookkeeping stays aligned
-        with the records actually offered.
+        prefix.  The stream engine lands each feed in slices instead;
+        it declares where each slice starts so position bookkeeping
+        stays aligned with the records actually offered.
         """
         if position < 0:
             raise ValueError("position must be non-negative")
@@ -312,12 +312,6 @@ class SightingStore:
         limit: Optional[int] = None,
     ) -> List[SilverRow]:
         return self.backend.silver_rows(feed=feed, since=since, limit=limit)
-
-    def silver_prefix(
-        self, run_id: int, feed: str, limit: Optional[int] = None
-    ) -> List[Tuple[str, int]]:
-        """One run's first *limit* silver sightings for *feed*."""
-        return self.backend.silver_for_feed(run_id, feed, limit)
 
     def close(self) -> None:
         self.backend.close()

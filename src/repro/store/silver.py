@@ -1,8 +1,8 @@
 """Silver-tier validation: the one gate between raw and stored sightings.
 
 Every sighting that enters a :class:`~repro.store.sightings.SightingStore`
--- whether it came from a simulated feed collector, a replayed stream
-batch, or an externally ingested URL feed -- passes through
+-- whether it came from a simulated feed collector, a stream engine's
+as-of-day slice, or an externally ingested URL feed -- passes through
 :func:`validate_sighting` before it may join the silver tier.  The
 checks are *structural*, not semantic: they enforce exactly the
 invariants the rest of the system relies on (domains are

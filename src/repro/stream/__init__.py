@@ -1,62 +1,33 @@
-"""Incremental streaming analysis with checkpoint/resume.
+"""As-of-day analysis over collected feeds, with checkpoint/resume.
 
-The batch pipeline materializes every feed before any analysis can
-start; this package treats the feeds as what they really are -- streams
-of (domain, time) sightings -- and maintains online analysis state as
-records arrive in simulation-time order:
+The batch pipeline answers "what do the feeds say over the whole
+window"; this package answers the same question *as of any day*.
+Collected datasets are time-sorted columns, so a feed as of day D is a
+prefix of its columns found by one bisect over the time column:
 
-* :class:`RecordStream` merges all collectors into one event-ordered
-  stream with bounded batching (pull-based backpressure).
-* :class:`StreamState` / :class:`FeedAccumulator` hold O(domains)
-  running statistics: sample counts, unique/exclusive domains,
-  pairwise-overlap counters, per-domain volume tallies, first/last
-  sighting times.
-* :class:`StreamEngine` drives consumption, emits windowed
-  :class:`StreamSnapshot` views ("Table 1/2/3 as of day N"), and
-  serializes its complete position through :mod:`repro.io.checkpoint`
-  so a run can be stopped and resumed deterministically.
+* :class:`StreamEngine` holds one prefix length per feed, moves to any
+  day (``advance_to_day``, ``run``, ``daily_snapshots``), lands the
+  prefixes into a sighting store, and checkpoints its position as
+  ``(run key, day)`` through :mod:`repro.io.checkpoint`.
+* :class:`StreamSnapshot` wraps the prefixes in column-backed datasets
+  and renders the paper's Table 1/2/3 ("as of day N") through the same
+  analyses and renderers as the batch path.
 
-A snapshot taken after the stream is fully drained matches the batch
+A snapshot of the fully drained engine matches the batch
 :class:`~repro.pipeline.runner.PaperPipeline` byte-for-byte: both paths
-feed identical statistics into the same analyses and renderers.
+feed identical datasets into the same analyses and renderers.
 """
 
 from repro.stream.engine import (
     CHECKPOINT_KIND,
-    CURSOR_CHECKPOINT_KIND,
     StreamEngine,
     StreamSnapshot,
     build_stream_engine,
 )
-from repro.stream.merge import (
-    DEFAULT_BATCH_SIZE,
-    ColumnRecord,
-    ColumnSource,
-    RecordStream,
-    StreamEvent,
-)
-from repro.stream.state import (
-    FeedAccumulator,
-    FrozenFeedStats,
-    OnlineCoverageRow,
-    StreamState,
-    StreamStateError,
-)
 
 __all__ = [
     "CHECKPOINT_KIND",
-    "CURSOR_CHECKPOINT_KIND",
-    "ColumnRecord",
-    "ColumnSource",
-    "DEFAULT_BATCH_SIZE",
-    "FeedAccumulator",
-    "FrozenFeedStats",
-    "OnlineCoverageRow",
-    "RecordStream",
     "StreamEngine",
-    "StreamEvent",
     "StreamSnapshot",
-    "StreamState",
-    "StreamStateError",
     "build_stream_engine",
 ]

@@ -1,24 +1,25 @@
-"""The streaming analysis engine: consume, snapshot, checkpoint, resume.
+"""The streaming analysis engine: an as-of-day view over collected feeds.
 
-:class:`StreamEngine` pulls bounded batches off a
-:class:`~repro.stream.merge.RecordStream`, folds them into a
-:class:`~repro.stream.state.StreamState`, and can at any moment produce
-a :class:`StreamSnapshot` -- the paper's Table 1/2/3 (and Figure 1-3
-data) *as of* the records consumed so far.  A snapshot taken after the
-stream is fully drained is byte-identical to the batch
-:class:`~repro.pipeline.runner.PaperPipeline` output: both paths feed
-the same statistics into the same :class:`FeedComparison` analyses and
-the same renderers.
+Collected feed datasets are time-sorted columns, so the stream "as of
+day D" is each feed's prefix of records strictly before D's start
+boundary -- one ``bisect_left`` over the feed's time column.
+:class:`StreamEngine` holds one prefix length per feed; moving it to
+any day (forward or back) is a bisect per feed.  A
+:class:`StreamSnapshot` wraps the prefixes in column-backed
+:class:`~repro.feeds.base.ColumnarFeedDataset` views and hands them to
+the same :class:`FeedComparison` analyses and renderers the batch
+:class:`~repro.pipeline.runner.PaperPipeline` uses, so a drained
+snapshot is the batch output, byte for byte.
 
-Checkpointing serializes the accumulator state plus the merge-layer
-cursor vector through :mod:`repro.io.checkpoint`; resuming rebuilds the
-(deterministic) sources, seeks the cursors, and continues exactly where
-the previous run stopped.
+The sources are deterministic functions of ``(config, seed)``, so a
+checkpoint is just the run key and the day: resuming rebuilds the
+sources and re-slices them through :mod:`repro.io.checkpoint`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -38,6 +39,7 @@ from repro.analysis.coverage import (
     OverlapMatrix,
     ScatterPoint,
     coverage_table,
+    exclusive_counts,
     exclusive_scatter,
     pairwise_overlap,
 )
@@ -50,11 +52,13 @@ from repro.feeds import (
     FeedDataset,
     PAPER_FEED_ORDER,
 )
+from repro.feeds.base import ColumnarFeedDataset
 from repro.io.checkpoint import (
     CheckpointError,
-    read_checkpoint_any,
+    read_checkpoint,
     write_checkpoint,
 )
+from repro.io.columns import ColumnBlock
 from repro.reporting.paper_tables import (
     render_table1,
     render_table2,
@@ -63,38 +67,28 @@ from repro.reporting.paper_tables import (
 )
 from repro.simtime import MINUTES_PER_DAY, SimTime
 from repro.store.sightings import RunWriter, SightingStore, run_key_for
-from repro.stream.merge import DEFAULT_BATCH_SIZE, RecordStream, StreamEvent
-from repro.stream.state import (
-    FrozenFeedStats,
-    OnlineCoverageRow,
-    StreamState,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.io.artifacts import ArtifactCache
 
-#: Checkpoint envelope kind for stream-engine state.
+#: Checkpoint envelope kind for stream-engine positions.
 CHECKPOINT_KIND = "stream-engine"
-
-#: Checkpoint envelope kind for store-backed cursor checkpoints: the
-#: accumulator state is reconstructed from the sighting store, so the
-#: file carries only the merge cursors and a pointer at the store.
-CURSOR_CHECKPOINT_KIND = "stream-cursor"
 
 
 @dataclasses.dataclass
 class StreamSnapshot:
-    """Frozen as-of-now analysis over the consumed prefix of the stream.
+    """Frozen as-of-now analysis over each feed's consumed prefix.
 
-    The heavy artifacts (purity, coverage, overlap, volume) are computed
-    lazily through a :class:`FeedComparison` built over frozen
-    accumulator statistics, so taking a snapshot is cheap and analyzing
-    it is decoupled from the still-advancing stream.
+    ``feeds`` holds one column-backed dataset per feed over the prefix
+    (feeds with no records yet hold an empty one).  The heavy artifacts
+    (purity, coverage, overlap, volume) are computed lazily through a
+    :class:`FeedComparison` over those datasets, so taking a snapshot is
+    cheap and analyzing it is decoupled from the engine's position.
     """
 
     world: World
     seed: int
-    feeds: Mapping[str, FrozenFeedStats]
+    feeds: Mapping[str, FeedDataset]
     feed_order: Sequence[str]
     records_processed: int
     as_of: Optional[SimTime]
@@ -111,7 +105,7 @@ class StreamSnapshot:
 
     @property
     def comparison(self) -> FeedComparison:
-        """The (lazily built) analysis context over the frozen stats."""
+        """The (lazily built) analysis context over the prefix datasets."""
         if self._comparison is None:
             self._comparison = FeedComparison(
                 self.world, dict(self.feeds), seed=self.seed
@@ -121,6 +115,15 @@ class StreamSnapshot:
     def _present(self, wanted: Optional[Sequence[str]] = None) -> List[str]:
         wanted = self.feed_order if wanted is None else wanted
         return [name for name in wanted if name in self.feeds]
+
+    def domain_spread(self) -> Tuple[int, int]:
+        """(distinct domains across all feeds, domains seen by one feed)."""
+        sets = {name: ds.unique_domains() for name, ds in self.feeds.items()}
+        singles = exclusive_counts(sets)
+        return (
+            len(set().union(*sets.values())),
+            sum(singles[name] for name in sets),
+        )
 
     # -- Table/figure data, mirroring PaperPipeline ---------------------
 
@@ -178,8 +181,26 @@ class StreamSnapshot:
         )
 
 
+def _time_sorted(dataset: FeedDataset) -> ColumnBlock:
+    """*dataset*'s columns in non-decreasing time order.
+
+    Collected datasets are already time-sorted column blocks and are
+    used as they are; anything else gets one stable time sort, the
+    order :meth:`FeedDataset.chronological_records` gives.
+    """
+    if isinstance(dataset, ColumnarFeedDataset):
+        block = dataset.block
+        return block if block.is_chronological() else block.sorted_by_time()
+    return ColumnBlock.from_records(dataset.chronological_records())
+
+
 class StreamEngine:
-    """Incrementally analyze feed records in simulation-time order."""
+    """Positioned as-of-day view over a run's collected feed datasets.
+
+    The position is a day boundary; each feed's prefix is its records
+    strictly before that boundary.  ``run_key`` identifies the (config,
+    seed) run the datasets came from and is what checkpoints record.
+    """
 
     def __init__(
         self,
@@ -187,32 +208,31 @@ class StreamEngine:
         datasets: Mapping[str, FeedDataset],
         seed: int = 2012,
         feed_order: Sequence[str] = PAPER_FEED_ORDER,
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        run_key: Optional[str] = None,
     ):
+        if not datasets:
+            raise ValueError("need at least one feed dataset")
+        for name, ds in datasets.items():
+            # Snapshots, checkpoints and store landings all key by name.
+            if ds.name != name:
+                raise ValueError(
+                    f"dataset {ds.name!r} registered under {name!r}"
+                )
         self.world = world
         self.seed = seed
         self.feed_order = list(feed_order)
         self.datasets = dict(datasets)
-        self._stream = RecordStream(
-            {
-                name: ds.chronological_records()
-                for name, ds in self.datasets.items()
-            },
-            batch_size=batch_size,
-        )
-        self.state = StreamState(
-            [
-                (ds.name, ds.feed_type, ds.has_volume)
-                for ds in self.datasets.values()
-            ]
-        )
+        self.run_key = run_key
+        self._blocks: Dict[str, ColumnBlock] = {
+            name: _time_sorted(ds) for name, ds in self.datasets.items()
+        }
+        #: Per-feed prefix length: records before the current boundary.
+        self._cuts: Dict[str, int] = {name: 0 for name in self._blocks}
+        #: The day the cuts stand at; None once drained.
+        self._day: Optional[int] = 0
         self._writer: Optional[RunWriter] = None
-        self._store_path: Optional[str] = None
-        self._run_key: Optional[str] = None
-        #: True while every store landing this session validated clean;
-        #: a rejection would desynchronize silver replay from the merge
-        #: cursors, so checkpoints fall back to full state payloads.
-        self._store_clean = True
+        #: Per-feed prefix length already offered to the store writer.
+        self._landed: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Store landing
@@ -221,38 +241,40 @@ class StreamEngine:
     def attach_store(
         self,
         store: SightingStore,
-        path: str,
         config_fingerprint: str,
         command: str = "stream",
     ) -> None:
-        """Land every consumed batch into *store*, idempotently.
+        """Land every consumed prefix into *store*, idempotently.
 
         The run key derives from (config fingerprint, seed), the same
         identity the artifact cache uses, so a batch ``run --store``
         and a ``stream --store`` against the same file land the same
-        run exactly once.  When the engine is already positioned
-        mid-stream (a resumed run), the writer's per-feed positions
-        are aligned with the merge cursors so the suffix about to be
-        consumed lands after the already-durable prefix.
+        run exactly once.  The first advance after attaching offers
+        each feed's prefix from record 0, so the writer's prefix skip
+        makes the store hold the whole prefix even when the engine was
+        positioned (resumed) before the store was attached.
         """
-        self._run_key = run_key_for(config_fingerprint, self.seed)
         self._writer = store.open_run(
-            self._run_key, self.seed, config_fingerprint, command
+            run_key_for(config_fingerprint, self.seed),
+            self.seed,
+            config_fingerprint,
+            command,
         )
-        self._store_path = path
-        for feed, cursor in self._stream.cursors.items():
-            self._writer.set_position(feed, cursor)
+        self._landed = {name: 0 for name in self._blocks}
 
-    def _land_batch(self, batch: Sequence[StreamEvent]) -> None:
+    def _land(self) -> None:
         if self._writer is None:
             return
-        groups: Dict[str, List[Tuple[str, SimTime]]] = {}
-        for time, feed, domain in batch:
-            groups.setdefault(feed, []).append((domain, time))
-        for feed, rows in groups.items():
-            stats = self._writer.land_sightings(feed, rows)
-            if stats.rejected:
-                self._store_clean = False
+        for name, block in self._blocks.items():
+            start, stop = self._landed[name], self._cuts[name]
+            if stop <= start:
+                continue
+            self._writer.set_position(name, start)
+            self._writer.land_sightings(
+                name, zip(block.domains[start:stop], block.times[start:stop])
+            )
+            self._landed[name] = stop
+        self._writer.finish()
 
     def finish_store(self) -> None:
         """Commit any store landings performed so far."""
@@ -260,83 +282,98 @@ class StreamEngine:
             self._writer.finish()
 
     # ------------------------------------------------------------------
-    # Consumption
+    # Position
     # ------------------------------------------------------------------
 
     @property
     def exhausted(self) -> bool:
-        """True once every source record has been consumed."""
-        return self._stream.exhausted
+        """True once every feed's prefix covers all of its records."""
+        return all(
+            self._cuts[name] == len(block)
+            for name, block in self._blocks.items()
+        )
 
     @property
     def records_processed(self) -> int:
-        """Total records folded into the state so far."""
-        return self.state.records_processed
+        """Records inside the current prefixes."""
+        return sum(self._cuts[name] for name in self._blocks)
 
     @property
     def position(self) -> Optional[SimTime]:
-        """Simulation time of the last consumed record."""
-        return self._stream.position
+        """Simulation time of the latest record inside the prefixes."""
+        last = [
+            block.times[self._cuts[name] - 1]
+            for name, block in self._blocks.items()
+            if self._cuts[name]
+        ]
+        return max(last) if last else None
 
-    def process(
-        self,
-        max_records: Optional[int] = None,
-        until_time: Optional[SimTime] = None,
-    ) -> int:
-        """Consume events (bounded by count and/or time); returns #consumed."""
-        consumed = 0
-        batches = 0
-        while max_records is None or consumed < max_records:
-            limit = None if max_records is None else max_records - consumed
-            batch = self._stream.next_batch(limit=limit, until_time=until_time)
-            if not batch:
-                break
-            self.state.update_batch(batch)
-            self._land_batch(batch)
-            consumed += len(batch)
-            batches += 1
-        if self._writer is not None:
-            self._writer.finish()
-        obs.add("stream.records", consumed)
-        obs.add("stream.batches", batches)
-        return consumed
+    def _move(self, cuts: Dict[str, int]) -> int:
+        before = self.records_processed
+        self._cuts = cuts
+        self._land()
+        moved = self.records_processed - before
+        if moved > 0:
+            obs.add("stream.records", moved)
+        return moved
 
     def advance_to_day(self, day: int) -> int:
-        """Consume everything before the start of (zero-based) *day*."""
+        """Position the view at the start of (zero-based) *day*.
+
+        Each feed's prefix becomes its records strictly before the day
+        boundary.  Any day may be asked for, earlier or later than the
+        current one.  Returns the change in :attr:`records_processed`.
+        """
         boundary = self.world.timeline.start + day * MINUTES_PER_DAY
         with obs.span("stream.advance", day=day) as span:
-            consumed = self.process(until_time=boundary)
+            moved = self._move(
+                {
+                    name: bisect_left(block.times, boundary)
+                    for name, block in self._blocks.items()
+                }
+            )
+            self._day = day
             if span is not None:
-                span.attributes["records"] = consumed
-        return consumed
+                span.attributes["records"] = moved
+        return moved
 
     def run(self) -> int:
-        """Drain the stream to the end of the window; returns #consumed."""
+        """Extend every prefix to the feed's end; returns the change."""
         with obs.span("stream.drain") as span:
-            consumed = self.process()
+            moved = self._move(
+                {name: len(block) for name, block in self._blocks.items()}
+            )
+            self._day = None
             if span is not None:
-                span.attributes["records"] = consumed
-        return consumed
+                span.attributes["records"] = moved
+        return moved
 
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
 
     def snapshot(self) -> StreamSnapshot:
-        """Freeze the current state for analysis."""
+        """The analysis view over the current prefixes."""
         obs.add("stream.snapshots")
+        feeds: Dict[str, FeedDataset] = {}
+        for name, block in self._blocks.items():
+            cut = self._cuts[name]
+            if cut < len(block):
+                block = ColumnBlock(
+                    block.domains[:cut], block.times[:cut], chronological=True
+                )
+            ds = self.datasets[name]
+            feeds[name] = ColumnarFeedDataset.from_block(
+                ds.name, ds.feed_type, ds.has_volume, block
+            )
         return StreamSnapshot(
             world=self.world,
             seed=self.seed,
-            feeds=self.state.freeze(),
+            feeds=feeds,
             feed_order=self.feed_order,
-            records_processed=self.state.records_processed,
-            as_of=self.state.clock,
+            records_processed=self.records_processed,
+            as_of=self.position,
         )
-
-    def online_coverage(self) -> List[OnlineCoverageRow]:
-        """The cheap oracle-free running coverage view."""
-        return self.state.online_coverage()
 
     def daily_snapshots(
         self, every_days: int = 1
@@ -345,7 +382,7 @@ class StreamEngine:
 
         Yields the snapshot as of the end of day ``every_days``,
         ``2*every_days``, ... up to and including the end of the window
-        (the final snapshot covers the fully drained stream).
+        (the final snapshot covers every record).
         """
         if every_days <= 0:
             raise ValueError("every_days must be positive")
@@ -364,179 +401,43 @@ class StreamEngine:
     # ------------------------------------------------------------------
 
     def checkpoint_payload(self) -> Dict[str, Any]:
-        """The complete resumable position as a JSON-friendly payload."""
-        return {
-            "seed": self.seed,
-            "feed_order": list(self.feed_order),
-            "cursors": self._stream.cursors,
-            "state": self.state.to_payload(),
-        }
-
-    def cursor_checkpoint_payload(self) -> Dict[str, Any]:
-        """Cursor-only position for store-backed engines.
-
-        The per-feed accumulator state is *not* serialized: the store's
-        silver tier holds every consumed sighting, so resuming replays
-        each feed's landed prefix (bounded by the cursors) instead.
-        """
-        return {
-            "seed": self.seed,
-            "feed_order": list(self.feed_order),
-            "cursors": self._stream.cursors,
-            "store": {"path": self._store_path, "run_key": self._run_key},
-        }
+        """The resumable position: run identity plus day (None: drained)."""
+        return {"run_key": self.run_key, "day": self._day}
 
     def save_checkpoint(self, path: str) -> None:
-        """Atomically write the current position to *path*.
-
-        A store-backed engine writes a compact cursor checkpoint
-        (flushing the store first, so the cursors never point past the
-        durable silver rows); otherwise the full state payload is
-        written as before.
-        """
-        if self._writer is not None and self._store_clean:
-            self._writer.finish()
-            write_checkpoint(
-                path, CURSOR_CHECKPOINT_KIND, self.cursor_checkpoint_payload()
+        """Atomically write the current position to *path*."""
+        if self.run_key is None:
+            raise CheckpointError(
+                "engine has no run key; build it through "
+                "PaperPipeline.stream_engine() to checkpoint it"
             )
+        write_checkpoint(path, CHECKPOINT_KIND, self.checkpoint_payload())
+
+    def resume(self, path: str) -> None:
+        """Move to the position recorded in checkpoint *path*.
+
+        The checkpoint must come from the same (config, seed) run as
+        this engine's datasets; a foreign one raises
+        :class:`CheckpointError`.
+        """
+        payload = read_checkpoint(path, CHECKPOINT_KIND)
+        run_key = payload.get("run_key")
+        day = payload.get("day")
+        if not isinstance(run_key, str) or not (
+            day is None
+            or (type(day) is int and day >= 0)
+        ):
+            raise CheckpointError(f"{path}: bad stream checkpoint payload")
+        if run_key != self.run_key:
+            raise CheckpointError(
+                f"{path}: checkpoint belongs to run {run_key!r}, not to "
+                f"this run {self.run_key!r} (different config, scale or "
+                "seed)"
+            )
+        if day is None:
+            self.run()
         else:
-            write_checkpoint(path, CHECKPOINT_KIND, self.checkpoint_payload())
-
-    def restore(self, payload: Dict[str, Any]) -> None:
-        """Restore a position produced by :meth:`checkpoint_payload`.
-
-        The engine must have been constructed over the same world and
-        datasets (same seed and feed suite) as the checkpointing run;
-        mismatches raise :class:`CheckpointError`.
-        """
-        try:
-            seed = int(payload["seed"])
-            cursors = dict(payload["cursors"])
-            state_payload = payload["state"]
-            feed_order = list(payload["feed_order"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"bad engine checkpoint: {exc}") from exc
-        if seed != self.seed:
-            raise CheckpointError(
-                f"checkpoint seed {seed} does not match engine seed "
-                f"{self.seed}"
-            )
-        if set(cursors) != set(self.datasets):
-            raise CheckpointError(
-                "checkpoint feeds do not match engine feeds: "
-                f"{sorted(cursors)} vs {sorted(self.datasets)}"
-            )
-        state = StreamState.from_payload(state_payload)
-        consumed = sum(int(c) for c in cursors.values())
-        if state.records_processed != consumed:
-            raise CheckpointError(
-                f"checkpoint state covers {state.records_processed} records "
-                f"but cursors account for {consumed}"
-            )
-        self._stream.seek({name: int(c) for name, c in cursors.items()})
-        self.state = state
-        self.feed_order = feed_order
-
-    def restore_from_store(
-        self, payload: Dict[str, Any], store: SightingStore
-    ) -> None:
-        """Restore a cursor checkpoint by replaying store silver rows.
-
-        Each feed's landed prefix (bounded by its cursor) is replayed
-        through a fresh :class:`StreamState`.  An accumulator only ever
-        sees its own feed's chronological subsequence, so per-feed
-        replay rebuilds the exact state the live engine had -- the
-        cross-feed interleaving it skips does not affect any
-        accumulator, and the cross-feed counters are order-independent
-        set sizes.
-        """
-        try:
-            seed = int(payload["seed"])
-            cursors = {
-                str(k): int(v) for k, v in dict(payload["cursors"]).items()
-            }
-            feed_order = list(payload["feed_order"])
-            run_key = str(dict(payload["store"])["run_key"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"bad cursor checkpoint: {exc}") from exc
-        if seed != self.seed:
-            raise CheckpointError(
-                f"checkpoint seed {seed} does not match engine seed "
-                f"{self.seed}"
-            )
-        if set(cursors) != set(self.datasets):
-            raise CheckpointError(
-                "checkpoint feeds do not match engine feeds: "
-                f"{sorted(cursors)} vs {sorted(self.datasets)}"
-            )
-        run = store.run_by_key(run_key)
-        if run is None:
-            raise CheckpointError(
-                f"store has no run {run_key!r}; cannot replay cursors"
-            )
-        state = StreamState(
-            [
-                (ds.name, ds.feed_type, ds.has_volume)
-                for ds in self.datasets.values()
-            ]
-        )
-        replayed = sum(  # reprolint: disable=REP004 -- int cursor counts
-            cursors.values()
-        )
-        with obs.span("store.replay", records=replayed):
-            for name in self.datasets:
-                expected = cursors[name]
-                if expected == 0:
-                    continue
-                rows = store.silver_prefix(run.run_id, name, limit=expected)
-                if len(rows) != expected:
-                    raise CheckpointError(
-                        f"store holds {len(rows)} sightings for feed "
-                        f"{name!r} but the checkpoint cursor expects "
-                        f"{expected}; the store cannot replay this run"
-                    )
-                for domain, time in rows:
-                    state.update(StreamEvent(time, name, domain))
-        self._stream.seek(cursors)
-        self.state = state
-        self.feed_order = feed_order
-
-    @classmethod
-    def resume(
-        cls,
-        world: World,
-        datasets: Mapping[str, FeedDataset],
-        path: str,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        store: Optional[SightingStore] = None,
-    ) -> "StreamEngine":
-        """Build an engine over *datasets* positioned at checkpoint *path*.
-
-        Accepts both checkpoint shapes: a full ``stream-engine`` state
-        payload, or a ``stream-cursor`` checkpoint -- the latter needs
-        *store* (the sighting store the checkpointing run landed into)
-        to replay the consumed prefix.
-        """
-        kind, payload = read_checkpoint_any(
-            path, (CHECKPOINT_KIND, CURSOR_CHECKPOINT_KIND)
-        )
-        engine = cls(
-            world,
-            datasets,
-            seed=int(payload.get("seed", 0)),
-            feed_order=list(payload.get("feed_order", PAPER_FEED_ORDER)),
-            batch_size=batch_size,
-        )
-        if kind == CURSOR_CHECKPOINT_KIND:
-            if store is None:
-                raise CheckpointError(
-                    f"{path}: cursor checkpoint needs its sighting store "
-                    "(pass --store with the file the run landed into)"
-                )
-            engine.restore_from_store(payload, store)
-        else:
-            engine.restore(payload)
-        return engine
+            self.advance_to_day(day)
 
     def __repr__(self) -> str:
         return (
@@ -550,19 +451,18 @@ def build_stream_engine(
     seed: int = 2012,
     collectors: Optional[Sequence[FeedCollector]] = None,
     feed_order: Sequence[str] = PAPER_FEED_ORDER,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     jobs: Optional[int] = None,
     cache: Optional["ArtifactCache"] = None,
     shards: Optional[int] = None,
 ) -> StreamEngine:
     """Build the world, collect the feed suite, and wrap it in an engine.
 
-    The record *sources* are deterministic functions of ``(config,
-    seed)``, which is what makes checkpoints portable across processes:
-    a resuming run rebuilds identical sources and seeks the cursors.
-    ``jobs`` parallelizes source collection, ``shards`` parallelizes the
-    world build itself, and ``cache`` reuses a previously built world +
-    dataset state; none of them changes a byte of the stream.
+    The datasets are deterministic functions of ``(config, seed)``,
+    which is what makes checkpoints portable across processes: a
+    resuming run rebuilds identical datasets and re-slices them.
+    ``jobs`` parallelizes collection, ``shards`` parallelizes the world
+    build itself, and ``cache`` reuses a previously built world +
+    dataset state; none of them changes a byte of the output.
     """
     # Imported lazily to keep the stream layer importable without the
     # pipeline layer.
@@ -575,4 +475,4 @@ def build_stream_engine(
         config, seed=seed, collectors=collectors, feed_order=feed_order,
         jobs=jobs, cache=cache, shards=shards,
     ) as pipeline:
-        return pipeline.stream_engine(batch_size)
+        return pipeline.stream_engine()

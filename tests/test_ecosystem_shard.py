@@ -228,6 +228,10 @@ class TestScaleSummary:
         assert summary.advertised_domains == counts["advertised_domains"]
         assert summary.registered_domains == counts["registered_domains"]
         assert summary.fingerprint == world_fingerprint(world)
+        starts = [p.start for c in world.campaigns for p in c.placements]
+        assert summary.merged_events == summary.placements == len(starts)
+        assert summary.first_event == min(starts)
+        assert summary.last_event == max(starts)
 
     @needs_fork
     def test_summary_invariant_across_shard_counts(self):

@@ -199,7 +199,7 @@ class TestCoalescing:
         assert day3.startswith(b"[stream] as of day 3:")
         status, day5 = _get(daemon, "/v1/snapshot?day=5")
         assert status == 200
-        # Rewind: earlier day after a later one replays, same bytes.
+        # Rewind: an earlier day after a later one, same bytes.
         status, day3_again = _get(daemon, "/v1/snapshot?day=3")
         assert status == 200
         assert day3_again == day3

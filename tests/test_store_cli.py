@@ -101,7 +101,9 @@ class TestCursorCheckpoint:
         assert code == 0
         assert resumed == straight
 
-    def test_cursor_checkpoint_requires_store(self, tmp_path, capsys):
+    def test_resume_without_store_matches_straight_run(
+        self, tmp_path, capsys
+    ):
         store_path = str(tmp_path / "ck.sqlite")
         ck = str(tmp_path / "ck.json")
         assert _run(
@@ -109,11 +111,35 @@ class TestCursorCheckpoint:
             ["--small", "--seed", "7", "-q", "stream", "--store", store_path,
              "--until-day", "20", "--checkpoint", ck],
         )[0] == 0
-        code, _, err = _run(
+        code, resumed, err = _run(
             capsys, ["--small", "--seed", "7", "-q", "stream", "--resume", ck]
         )
-        assert code == 2
-        assert "cursor" in err and "--store" in err
+        assert code == 0 and err == ""
+        code, straight, _ = _run(
+            capsys, ["--small", "--seed", "7", "-q", "stream"]
+        )
+        assert code == 0
+        assert resumed == straight
+
+    def test_resumed_store_lands_the_whole_prefix(self, tmp_path, capsys):
+        base = ["--small", "--seed", "7", "-q", "stream"]
+        ck = str(tmp_path / "ck.json")
+        assert _run(
+            capsys, base + ["--until-day", "46", "--checkpoint", ck]
+        )[0] == 0
+        fresh = str(tmp_path / "fresh.sqlite")
+        assert _run(capsys, base + ["--resume", ck, "--store", fresh])[0] == 0
+        straight = str(tmp_path / "straight.sqlite")
+        assert _run(capsys, base + ["--store", straight])[0] == 0
+
+        stats = []
+        for path in (fresh, straight):
+            code, out, _ = _run(capsys, ["query", "--store", path, "feed-stats"])
+            assert code == 0
+            with SightingStore.open(path) as store:
+                stats.append((out, len(store.sightings())))
+        assert stats[0] == stats[1]
+        assert stats[0][1] == 59583
 
 
 class TestQueryCli:

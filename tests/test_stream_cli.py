@@ -1,5 +1,7 @@
 """CLI tests for the ``stream`` subcommand and the ``--quiet`` flag."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -68,6 +70,43 @@ class TestStreamCli:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("day", ["46", "10"])
+    def test_foreign_scale_checkpoint_fails_cleanly(
+        self, day, tmp_path, capsys
+    ):
+        path = str(tmp_path / "ck.json")
+        assert main(
+            ["--small", "--seed", "7", "-q", "stream", "--scale", "2",
+             "--until-day", day, "--checkpoint", path]
+        ) == 0
+        capsys.readouterr()
+        code = main(
+            ["--small", "--seed", "7", "-q", "stream", "--resume", path]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert "belongs to run" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("kind", ["stream-engine", "stream-cursor"])
+    def test_v1_checkpoint_envelopes_are_rejected(
+        self, kind, tmp_path, capsys
+    ):
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({
+            "format": "repro-checkpoint", "version": 1, "kind": kind,
+            "payload": {"seed": 7, "feed_order": [], "cursors": {},
+                        "state": {}, "store": {}},
+        }))
+        code = main(
+            ["--small", "--seed", "7", "-q", "stream", "--resume", str(path)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "unsupported checkpoint version" in err
+        assert "Traceback" not in err
 
     def test_resume_from_missing_file_fails_cleanly(self, tmp_path, capsys):
         code = main(

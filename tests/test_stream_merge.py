@@ -1,89 +1,160 @@
-"""Unit tests for the stream merge layer, accumulators and checkpoints."""
+"""Unit tests for the stream engine's day slices, prefix statistics and
+checkpoints.
+
+The engine's position is one prefix length per feed, found by a bisect
+over the feed's time column.  These tests pin the ordering, boundary,
+statistics and checkpoint properties of that view on small hand-built
+feeds placed on the miniature world's timeline.
+"""
 
 import pytest
 
-from repro.feeds.base import FeedDataset, FeedRecord, FeedType
+from repro.feeds.base import (
+    ColumnarFeedDataset,
+    FeedDataset,
+    FeedRecord,
+    FeedType,
+)
 from repro.io.checkpoint import (
     CheckpointError,
     read_checkpoint,
     write_checkpoint,
 )
-from repro.stream import (
-    FeedAccumulator,
-    RecordStream,
-    StreamState,
-    StreamStateError,
-)
-from repro.stream.merge import StreamEvent
+from repro.simtime import MINUTES_PER_DAY
+from repro.stream import CHECKPOINT_KIND, StreamEngine
+
+RUN_KEY = "config:7"
 
 
-def _records(*times):
-    return [FeedRecord(f"d{t}.com", t) for t in times]
+def _at(world, day, minute=0):
+    return world.timeline.start + day * MINUTES_PER_DAY + minute
+
+
+def _feed(name, records, feed_type=FeedType.MX_HONEYPOT):
+    return FeedDataset(name, feed_type, records)
+
+
+def _engine(world, feeds):
+    return StreamEngine(
+        world, feeds, seed=7, feed_order=list(feeds), run_key=RUN_KEY
+    )
+
+
+def _two_feeds(world):
+    return {
+        "a": _feed(
+            "a", [FeedRecord(f"a{d}.com", _at(world, d)) for d in (5, 10, 20)]
+        ),
+        "b": _feed(
+            "b",
+            [FeedRecord(f"b{d}.com", _at(world, d)) for d in (1, 12)],
+            FeedType.BLACKLIST,
+        ),
+    }
 
 
 class TestRecordStream:
-    def test_time_ordered_interleave(self):
-        stream = RecordStream(
-            {"a": _records(5, 10, 20), "b": _records(1, 12)}
+    """Ordering and position of the engine's day slices across feeds."""
+
+    def test_time_ordered_interleave(self, small_world):
+        feeds = _two_feeds(small_world)
+        engine = _engine(small_world, feeds)
+        times = sorted(r.time for ds in feeds.values() for r in ds.records)
+        for day in range(22):
+            engine.advance_to_day(day)
+            before = [t for t in times if t < _at(small_world, day)]
+            assert engine.records_processed == len(before)
+            assert engine.position == (before[-1] if before else None)
+
+    def test_tie_broken_by_source_registration_order(self, small_world):
+        same = _at(small_world, 3)
+        engine = _engine(
+            small_world,
+            {
+                "b": _feed("b", [FeedRecord("y.com", same)]),
+                "a": _feed("a", [FeedRecord("x.com", same)]),
+            },
         )
-        times = [event.time for event in stream]
-        assert times == sorted(times) == [1, 5, 10, 12, 20]
+        engine.advance_to_day(4)
+        assert list(engine.snapshot().feeds) == ["b", "a"]
 
-    def test_tie_broken_by_source_registration_order(self):
-        a = [FeedRecord("x.com", 7)]
-        b = [FeedRecord("y.com", 7)]
-        stream = RecordStream({"b": b, "a": a})
-        feeds = [event.feed for event in stream]
-        assert feeds == ["b", "a"]
+    def test_until_time_is_exclusive(self, small_world):
+        boundary = _at(small_world, 2)
+        engine = _engine(
+            small_world,
+            {
+                "a": _feed(
+                    "a",
+                    [
+                        FeedRecord("a.com", boundary - 1),
+                        FeedRecord("b.com", boundary),
+                        FeedRecord("c.com", boundary + 1),
+                    ],
+                )
+            },
+        )
+        engine.advance_to_day(2)
+        assert engine.records_processed == 1
+        assert engine.position == boundary - 1
+        assert not engine.exhausted
+        assert engine.snapshot().feeds["a"].unique_domains() == {"a.com"}
 
-    def test_batch_size_bound(self):
-        stream = RecordStream({"a": _records(*range(10))}, batch_size=3)
-        batch = stream.next_batch()
-        assert len(batch) == 3
-        assert stream.emitted == 3
-        assert len(stream.next_batch(limit=2)) == 2
+    def test_cursors_and_seek_roundtrip(self, small_world, tmp_path):
+        feeds = _two_feeds(small_world)
+        engine = _engine(small_world, feeds)
+        engine.advance_to_day(11)
+        path = str(tmp_path / "ck.json")
+        engine.save_checkpoint(path)
 
-    def test_until_time_is_exclusive(self):
-        stream = RecordStream({"a": _records(1, 2, 3)})
-        batch = stream.next_batch(until_time=3)
-        assert [event.time for event in batch] == [1, 2]
-        assert not stream.exhausted
-        assert stream.peek_time() == 3
+        fresh = _engine(small_world, feeds)
+        fresh.resume(path)
+        assert fresh.records_processed == engine.records_processed == 3
+        assert fresh.position == engine.position
+        assert fresh.snapshot().table1() == engine.snapshot().table1()
 
-    def test_cursors_and_seek_roundtrip(self):
-        sources = {"a": _records(1, 4, 9), "b": _records(2, 3)}
-        stream = RecordStream(sources)
-        stream.next_batch(limit=3)
-        saved = stream.cursors
-        rest = [event for event in stream]
+        # A drained engine round-trips to drained; an earlier day rewinds.
+        engine.run()
+        engine.save_checkpoint(path)
+        fresh.resume(path)
+        assert fresh.exhausted
+        engine.advance_to_day(2)
+        engine.save_checkpoint(path)
+        fresh.resume(path)
+        assert fresh.records_processed == 1
 
-        fresh = RecordStream(sources)
-        fresh.seek(saved)
-        assert [event for event in fresh] == rest
+    def test_seek_rejects_unknown_feed_and_bad_range(
+        self, small_world, tmp_path
+    ):
+        engine = _engine(small_world, _two_feeds(small_world))
+        path = str(tmp_path / "ck.json")
+        write_checkpoint(
+            path, CHECKPOINT_KIND, {"run_key": "other:7", "day": 1}
+        )
+        with pytest.raises(CheckpointError, match="belongs to run"):
+            engine.resume(path)
+        for day in (-1, "3", 1.5, True):
+            write_checkpoint(
+                path, CHECKPOINT_KIND, {"run_key": RUN_KEY, "day": day}
+            )
+            with pytest.raises(CheckpointError, match="bad"):
+                engine.resume(path)
+        assert engine.records_processed == 0
 
-    def test_seek_rejects_unknown_feed_and_bad_range(self):
-        stream = RecordStream({"a": _records(1)})
+    def test_empty_sources_rejected(self, small_world):
         with pytest.raises(ValueError):
-            stream.seek({"zz": 0})
-        with pytest.raises(ValueError):
-            stream.seek({"a": 5})
+            StreamEngine(small_world, {})
 
-    def test_unordered_source_rejected(self):
-        with pytest.raises(ValueError, match="not time-ordered"):
-            RecordStream({"a": [FeedRecord("x.com", 5), FeedRecord("y.com", 1)]})
+    def test_exhaustion(self, small_world):
+        engine = _engine(
+            small_world,
+            {"a": _feed("a", [FeedRecord("x.com", _at(small_world, 0))])},
+        )
+        assert not engine.exhausted
+        assert engine.run() == 1
+        assert engine.exhausted
+        assert engine.run() == 0
 
-    def test_empty_sources_rejected(self):
-        with pytest.raises(ValueError):
-            RecordStream({})
-
-    def test_exhaustion(self):
-        stream = RecordStream({"a": _records(1)})
-        assert not stream.exhausted
-        stream.next_batch()
-        assert stream.exhausted
-        assert stream.next_batch() == []
-
-    def test_chronological_records_sorts_unsorted_dataset(self):
+    def test_chronological_records_sorts_unsorted_dataset(self, small_world):
         dataset = FeedDataset(
             "x", FeedType.BOTNET,
             [FeedRecord("b.com", 9), FeedRecord("a.com", 2)],
@@ -92,89 +163,124 @@ class TestRecordStream:
         assert [r.time for r in ordered] == [2, 9]
         # The raw record list is untouched.
         assert [r.time for r in dataset.records] == [9, 2]
+        # The engine slices that order, for record- and column-backed
+        # datasets alike.
+        columnar = ColumnarFeedDataset(dataset.to_columns())
+        for source in (dataset, columnar):
+            engine = _engine(small_world, {"x": source})
+            engine.run()
+            prefix = engine.snapshot().feeds["x"]
+            assert list(prefix.first_seen()) == ["a.com", "b.com"]
+            assert engine.position == 9
 
 
 class TestStreamState:
-    def _state(self):
-        return StreamState(
-            [
-                ("a", FeedType.MX_HONEYPOT, True),
-                ("b", FeedType.BLACKLIST, False),
-            ]
-        )
+    """Statistics of as-of-day prefixes and cross-feed domain counts."""
 
-    def test_accumulator_matches_dataset_statistics(self):
+    def test_accumulator_matches_dataset_statistics(self, small_world):
         records = [
-            FeedRecord("x.com", 5),
-            FeedRecord("y.com", 2),
-            FeedRecord("x.com", 9),
-            FeedRecord("x.com", 1),
+            FeedRecord("y.com", _at(small_world, 0, 5)),
+            FeedRecord("x.com", _at(small_world, 1)),
+            FeedRecord("y.com", _at(small_world, 1, 7)),
+            FeedRecord("x.com", _at(small_world, 2)),
+            FeedRecord("z.com", _at(small_world, 3)),
+            FeedRecord("x.com", _at(small_world, 3, 1)),
         ]
-        dataset = FeedDataset("a", FeedType.MX_HONEYPOT, sorted(
-            records, key=lambda r: r.time
-        ))
-        acc = FeedAccumulator("a", FeedType.MX_HONEYPOT)
-        for record in dataset.records:
-            acc.add(record.domain, record.time)
-        assert acc.total_samples == dataset.total_samples
-        assert acc.unique_domains() == dataset.unique_domains()
-        assert acc.first_seen() == dataset.first_seen()
-        assert acc.last_seen() == dataset.last_seen()
-        assert (
-            dict(acc.domain_counts().items())
-            == dict(dataset.domain_counts().items())
+        engine = _engine(small_world, {"a": _feed("a", records)})
+        for day in range(5):
+            engine.advance_to_day(day)
+            prefix = engine.snapshot().feeds["a"]
+            boundary = _at(small_world, day)
+            expected = _feed("a", [r for r in records if r.time < boundary])
+            assert prefix.total_samples == expected.total_samples
+            assert prefix.unique_domains() == expected.unique_domains()
+            # Dict orders too: downstream iteration depends on them.
+            for view in ("first_seen", "last_seen"):
+                assert list(getattr(prefix, view)().items()) == list(
+                    getattr(expected, view)().items()
+                )
+            assert list(prefix.domain_counts().items()) == list(
+                expected.domain_counts().items()
+            )
+
+    def test_exclusive_tracking(self, small_world):
+        engine = _engine(
+            small_world,
+            {
+                "a": _feed(
+                    "a",
+                    [
+                        FeedRecord("only-a.com", _at(small_world, 1)),
+                        FeedRecord("shared.com", _at(small_world, 3)),
+                    ],
+                ),
+                "b": _feed(
+                    "b", [FeedRecord("shared.com", _at(small_world, 2))]
+                ),
+            },
         )
+        engine.advance_to_day(3)
+        assert engine.snapshot().domain_spread() == (2, 2)
+        engine.advance_to_day(4)
+        assert engine.snapshot().domain_spread() == (2, 1)
 
-    def test_exclusive_tracking(self):
-        state = self._state()
-        state.update(StreamEvent(1, "a", "only-a.com"))
-        state.update(StreamEvent(2, "b", "shared.com"))
-        assert state.exclusive_count("a") == 1
-        assert state.exclusive_count("b") == 1
-        state.update(StreamEvent(3, "a", "shared.com"))
-        assert state.exclusive_count("a") == 1
-        assert state.exclusive_count("b") == 0
-        assert state.union_size == 2
-        assert state.pairwise_intersection("a", "b") == 1
+    def test_repeat_sightings_do_not_change_cross_feed_counters(
+        self, small_world
+    ):
+        engine = _engine(
+            small_world,
+            {
+                "a": _feed(
+                    "a",
+                    [FeedRecord("x.com", _at(small_world, d)) for d in (1, 2, 3)],
+                )
+            },
+        )
+        engine.run()
+        snapshot = engine.snapshot()
+        assert snapshot.domain_spread() == (1, 1)
+        assert snapshot.feeds["a"].total_samples == 3
+        assert snapshot.feeds["a"].n_unique == 1
 
-    def test_repeat_sightings_do_not_change_cross_feed_counters(self):
-        state = self._state()
-        for t in (1, 2, 3):
-            state.update(StreamEvent(t, "a", "x.com"))
-        assert state.union_size == 1
-        assert state.exclusive_count("a") == 1
-        assert state.accumulators["a"].total_samples == 3
+    def test_unknown_feed_rejected(self, small_world):
+        with pytest.raises(ValueError, match="registered under"):
+            StreamEngine(small_world, {"a": _feed("b", [])})
 
-    def test_unknown_feed_rejected(self):
-        state = self._state()
-        with pytest.raises(StreamStateError):
-            state.update(StreamEvent(1, "nope", "x.com"))
+    def test_payload_roundtrip_preserves_everything(
+        self, small_world, tmp_path
+    ):
+        feeds = _two_feeds(small_world)
+        engine = _engine(small_world, feeds)
+        engine.advance_to_day(13)
+        payload = engine.checkpoint_payload()
+        assert payload == {"run_key": RUN_KEY, "day": 13}
+        path = str(tmp_path / "ck.json")
+        engine.save_checkpoint(path)
+        assert read_checkpoint(path, CHECKPOINT_KIND) == payload
 
-    def test_payload_roundtrip_preserves_everything(self):
-        state = self._state()
-        events = [
-            StreamEvent(1, "a", "x.com"),
-            StreamEvent(2, "b", "x.com"),
-            StreamEvent(3, "a", "y.com"),
-            StreamEvent(3, "a", "x.com"),
-        ]
-        state.update_batch(events)
-        clone = StreamState.from_payload(state.to_payload())
-        assert clone.records_processed == state.records_processed
-        assert clone.clock == state.clock
-        assert clone.union_size == state.union_size
-        for feed in ("a", "b"):
-            assert clone.exclusive_count(feed) == state.exclusive_count(feed)
-            a, c = state.accumulators[feed], clone.accumulators[feed]
-            assert a.total_samples == c.total_samples
-            assert a.unique_domains() == c.unique_domains()
-            assert a.first_seen() == c.first_seen()
-            assert a.last_seen() == c.last_seen()
-        assert clone.pairwise_intersection("a", "b") == 1
+        fresh = _engine(small_world, feeds)
+        fresh.resume(path)
+        assert fresh.checkpoint_payload() == payload
+        before, after = engine.snapshot(), fresh.snapshot()
+        assert after.records_processed == before.records_processed
+        assert after.as_of == before.as_of
+        assert after.domain_spread() == before.domain_spread()
+        for name in feeds:
+            mine, theirs = before.feeds[name], after.feeds[name]
+            assert mine.unique_domains() == theirs.unique_domains()
+            assert mine.first_seen() == theirs.first_seen()
+            assert mine.last_seen() == theirs.last_seen()
 
-    def test_bad_payload_rejected(self):
-        with pytest.raises(StreamStateError):
-            StreamState.from_payload({"feeds": [{"name": "a"}]})
+    def test_bad_payload_rejected(self, small_world, tmp_path):
+        engine = _engine(small_world, _two_feeds(small_world))
+        path = str(tmp_path / "ck.json")
+        for payload in ({}, {"run_key": 7, "day": 1}, {"day": 1}):
+            write_checkpoint(path, CHECKPOINT_KIND, payload)
+            with pytest.raises(CheckpointError, match="bad"):
+                engine.resume(path)
+        unkeyed = StreamEngine(small_world, _two_feeds(small_world))
+        with pytest.raises(CheckpointError, match="no run key"):
+            unkeyed.save_checkpoint(path)
 
 
 class TestCheckpointIo:
