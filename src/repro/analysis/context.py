@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Iterable, List, Mapping, Optional, Set
 
 from repro.ecosystem.world import World
@@ -53,6 +54,10 @@ class FeedComparison:
         self._unique_cache: Optional[Dict[str, Set[str]]] = None
         self._first_seen_cache: Optional[Dict[str, SimTime]] = None
         self._crawl_cache: Optional[Dict[str, CrawlResult]] = None
+        #: The crawler draws from one sequential RNG stream, so two
+        #: threads crawling at once would interleave its draws and
+        #: change verdicts; the first crawl runs under this lock.
+        self._crawl_lock = threading.Lock()
         self._blacklist_excluded: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -153,9 +158,11 @@ class FeedComparison:
     def crawl_results(self) -> Dict[str, CrawlResult]:
         """One crawl verdict per domain, at union first-seen time."""
         if self._crawl_cache is None:
-            self._crawl_cache = self.crawler.crawl_at_first_seen(
-                self.union_first_seen()
-            )
+            with self._crawl_lock:
+                if self._crawl_cache is None:
+                    self._crawl_cache = self.crawler.crawl_at_first_seen(
+                        self.union_first_seen()
+                    )
         return self._crawl_cache
 
     # ------------------------------------------------------------------

@@ -15,7 +15,10 @@ old artifacts stale, so both re-address the cache -- an entry from an
 older code generation can never be resurrected; it simply stops being
 addressed.  Every entry also carries a format/version envelope
 and is atomically written, so a torn write or a foreign file reads as
-a cache *miss*, never as corrupt data.
+a cache *miss*.  The envelope check covers the pickle's framing, not
+its data: a byte changed inside a stored string or blob still loads.
+A payload that must not load altered carries its own digest (the
+pipeline's ``pipeline-state`` entry does).
 
 Payloads are Python pickles.  The cache directory is a local,
 per-user acceleration structure (like pip's or mypy's cache), not an

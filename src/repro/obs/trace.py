@@ -68,6 +68,7 @@ BASELINE_COUNTERS = (
     "cache.miss",
     "cache.store",
     "cache.invalidation",
+    "cache.world_loads",
     "feeds.truncated_records",
     "feeds.truncated_placements",
 )

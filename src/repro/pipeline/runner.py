@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import pickle
+import threading
 from typing import Dict, List, Optional, Sequence
 
 from repro import obs
@@ -65,13 +68,94 @@ FIG9_FEEDS = ("Hyb", "Ac2", "Ac1", "mx3", "mx2", "mx1", "uribl", "dbl", "Hu")
 HONEYPOT_FEEDS = ("Ac2", "Ac1", "mx3", "mx2", "mx1")
 
 
-@dataclasses.dataclass
 class PipelineResult:
-    """Everything a pipeline run produces."""
+    """Everything a pipeline run produces: world, datasets, comparison.
 
-    world: World
-    datasets: Dict[str, FeedDataset]
-    comparison: FeedComparison
+    A cold run builds all three.  A ``pipeline-state`` cache hit builds
+    only the datasets: the entry keeps the world as one pickled blob
+    beside the packed feed columns, with a SHA-256 over both (see
+    :func:`_state_digest`), and the result holds on to that blob, with
+    ``world`` and ``comparison`` passed as None.  The first read of
+    ``world`` unpickles it (a ``cache.load-world`` span, counted as
+    ``cache.world_loads``) and drops the blob; the first read of
+    ``comparison`` assembles it over that world.  A warm render-cache
+    hit reads neither, so it never pays for the world.
+
+    Each lazy value is built once per result, under a lock: serve
+    threads share one result.  A forking pool must not inherit that
+    lock held, so the pipeline reads both values before it forks
+    (:meth:`PaperPipeline._open_pool`); after that no reader takes the
+    lock again.
+    """
+
+    def __init__(
+        self,
+        world: Optional[World],
+        datasets: Dict[str, FeedDataset],
+        comparison: Optional[FeedComparison],
+        world_blob: Optional[bytes] = None,
+        seed: int = 0,
+    ):
+        self.datasets = datasets
+        self._world = world
+        self._comparison = comparison
+        #: The pickled world of a deferred result, until it is read.
+        self._world_blob = world_blob
+        #: The seed a deferred comparison is assembled with.
+        self._seed = seed
+        self._lock = threading.Lock()
+
+    @property
+    def world(self) -> World:
+        """The simulated ecosystem (unpickled on first read if deferred)."""
+        world = self._world
+        if world is None:
+            with self._lock:
+                if self._world is None:
+                    with obs.span("cache.load-world"):
+                        self._world = pickle.loads(self._world_blob)
+                    obs.add("cache.world_loads")
+                    self._world_blob = None
+                world = self._world
+        return world
+
+    @property
+    def comparison(self) -> FeedComparison:
+        """The analysis context (assembled on first read if deferred)."""
+        comparison = self._comparison
+        if comparison is None:
+            world = self.world
+            with self._lock:
+                if self._comparison is None:
+                    # The module-level name, looked up at call time, so
+                    # code that wraps ``runner.FeedComparison`` sees
+                    # this assembly as it sees a cold run's.
+                    self._comparison = FeedComparison(
+                        world, self.datasets, seed=self._seed
+                    )
+                comparison = self._comparison
+        return comparison
+
+
+def _state_digest(world_blob: bytes, columns: Sequence[PackedColumns]) -> str:
+    """SHA-256 over a ``pipeline-state`` entry's world blob and columns.
+
+    Every column contributes its metadata and both blob lengths as a
+    header, then its domain and time blobs, so a changed byte anywhere
+    in the entry's data -- not only in the pickle framing the cache
+    envelope checks -- changes the digest.
+    """
+    digest = hashlib.sha256(b"%d\x00" % len(world_blob))
+    digest.update(world_blob)
+    for packed in columns:
+        header = repr((
+            packed.name, packed.feed_type, packed.has_volume,
+            packed.n_records, len(packed.domain_blob), len(packed.time_blob),
+        ))
+        digest.update(header.encode("utf-8"))
+        digest.update(packed.domain_blob)
+        digest.update(packed.time_blob)
+    return digest.hexdigest()
 
 
 #: The artifacts of :meth:`PaperPipeline.render_all`, in paper order;
@@ -198,51 +282,62 @@ class PaperPipeline:
         return artifact_key(kind, fingerprint(self.config), self.seed)
 
     def _load_cached_state(self) -> Optional[PipelineResult]:
+        """The cached state as a deferred result, or None on any miss.
+
+        Only the datasets are rebuilt here; the world stays a verified
+        blob until something reads it.  An entry whose digest does not
+        match its data is a miss, like a torn or foreign one.
+        """
         key = self._cache_key("pipeline-state")
         if key is None:
             return None
         payload = self.cache.load(key) if self.cache else None
         if not isinstance(payload, dict):
             return None
-        world = payload.get("world")
+        world_blob = payload.get("world")
         columns = payload.get("columns")
-        if not isinstance(world, World) or not isinstance(columns, list):
+        if not isinstance(world_blob, bytes) or not isinstance(columns, list):
             return None
         if not all(isinstance(c, PackedColumns) for c in columns):
             return None
         try:
+            if payload.get("sha256") != _state_digest(world_blob, columns):
+                return None
             datasets: Dict[str, FeedDataset] = {
                 packed.name: ColumnarFeedDataset.from_packed(packed)
                 for packed in columns
             }
-        except ValueError:
+        except (TypeError, ValueError):
             return None  # blob does not round-trip: treat as a miss
-        comparison = FeedComparison(world, datasets, seed=self.seed)
-        return PipelineResult(world, datasets, comparison)
+        return PipelineResult(
+            None, datasets, None, world_blob=world_blob, seed=self.seed
+        )
 
     def _store_state(self, result: PipelineResult) -> None:
         key = self._cache_key("pipeline-state")
         if key is None or self.cache is None:
             return
+        world_blob = pickle.dumps(result.world, pickle.HIGHEST_PROTOCOL)
+        columns = [
+            result.datasets[name].packed() for name in result.datasets
+        ]
         self.cache.store(
             key,
             {
-                "world": result.world,
-                "columns": [
-                    result.datasets[name].packed()
-                    for name in result.datasets
-                ],
+                "world": world_blob,
+                "columns": columns,
+                "sha256": _state_digest(world_blob, columns),
             },
         )
 
     def run(self) -> PipelineResult:
         """Build world, collect feeds, assemble the comparison (cached).
 
-        With an artifact cache attached, a warm run deserializes the
-        world and the columnar datasets instead of rebuilding them; the
-        resulting comparison is identical either way because both the
-        world build and every collector are pure functions of
-        ``(config, seed)``.
+        With an artifact cache attached, a warm run rebuilds the
+        columnar datasets from the cache and defers the world and the
+        comparison to their first read (see :class:`PipelineResult`);
+        the result is identical either way because both the world build
+        and every collector are pure functions of ``(config, seed)``.
         """
         if self._result is not None:
             return self._result
@@ -312,7 +407,10 @@ class PaperPipeline:
         index is pre-warmed -- and *before* collection, so collect and
         render reuse the same workers.  A state-cache hit opens it
         from :meth:`render_all`, after warming the comparison, so the
-        workers inherit the whole result and need no broadcast.
+        workers inherit the whole result and need no broadcast.  Those
+        reads of ``world`` and ``comparison`` also materialize a
+        deferred result before the fork, so no worker takes its lazy
+        path or inherits its lock held.
         """
         width = resolve_jobs(self.jobs)
         if width > 1:
