@@ -18,7 +18,8 @@ and is atomically written, so a torn write or a foreign file reads as
 a cache *miss*.  The envelope check covers the pickle's framing, not
 its data: a byte changed inside a stored string or blob still loads.
 A payload that must not load altered carries its own digest (the
-pipeline's ``pipeline-state`` entry does).
+pipeline's ``pipeline-state`` and ``render-all`` entries do), checked
+by the ``accept`` callback of :meth:`ArtifactCache.load`.
 
 Payloads are Python pickles.  The cache directory is a local,
 per-user acceleration structure (like pip's or mypy's cache), not an
@@ -34,7 +35,7 @@ import json
 import os
 import pickle
 import tempfile
-from typing import Any, Iterator, Mapping, Optional, Tuple
+from typing import Any, Callable, Iterator, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.io.checkpoint import CHECKPOINT_SCHEMA_PIN
@@ -199,16 +200,23 @@ class ArtifactCache:
         """Entry path for *key* (two-level fan-out like git objects)."""
         return os.path.join(self.root, key[:2], key + ARTIFACT_SUFFIX)
 
-    def load(self, key: str) -> Optional[Any]:
+    def load(
+        self, key: str, accept: Optional[Callable[[Any], Any]] = None
+    ) -> Optional[Any]:
         """The payload stored under *key*, or None on any kind of miss.
 
         Unreadable, truncated, foreign-format and version-mismatched
         entries all count as misses: the caller recomputes and the bad
-        entry is overwritten on the next :meth:`store`.  Hits and
-        misses are counted on the active tracer (side channel only --
-        the payload is identical either way).
+        entry is overwritten on the next :meth:`store`.  *accept*, when
+        given, turns the stored payload into the value the caller uses,
+        or returns None to reject it (a digest mismatch, a foreign
+        shape), which is a miss too.  Hits and misses are counted on the
+        active tracer once that verdict is in (side channel only -- the
+        payload is identical either way).
         """
         payload = self._load_unmetered(key)
+        if payload is not None and accept is not None:
+            payload = accept(payload)
         obs.add("cache.hit" if payload is not None else "cache.miss")
         return payload
 

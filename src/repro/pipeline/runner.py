@@ -6,7 +6,7 @@ import dataclasses
 import hashlib
 import pickle
 import threading
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.analysis import (
@@ -135,6 +135,26 @@ class PipelineResult:
                     )
                 comparison = self._comparison
         return comparison
+
+
+def _text_digest(text: str) -> str:
+    """SHA-256 of a ``render-all`` entry's text."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _accept_render(payload: Any) -> Optional[str]:
+    """The text of a ``render-all`` payload, or None unless its digest holds.
+
+    The cache envelope checks only the pickle's framing, so without the
+    digest a byte changed inside the stored text would print altered
+    tables from a warm cache.
+    """
+    if not isinstance(payload, dict):
+        return None
+    text = payload.get("text")
+    if not isinstance(text, str) or payload.get("sha256") != _text_digest(text):
+        return None
+    return text
 
 
 def _state_digest(world_blob: bytes, columns: Sequence[PackedColumns]) -> str:
@@ -282,16 +302,19 @@ class PaperPipeline:
         return artifact_key(kind, fingerprint(self.config), self.seed)
 
     def _load_cached_state(self) -> Optional[PipelineResult]:
-        """The cached state as a deferred result, or None on any miss.
+        """The cached state as a deferred result, or None on any miss."""
+        key = self._cache_key("pipeline-state")
+        if key is None or self.cache is None:
+            return None
+        return self.cache.load(key, self._accept_state)
+
+    def _accept_state(self, payload: Any) -> Optional[PipelineResult]:
+        """A ``pipeline-state`` payload as a deferred result, or None.
 
         Only the datasets are rebuilt here; the world stays a verified
         blob until something reads it.  An entry whose digest does not
         match its data is a miss, like a torn or foreign one.
         """
-        key = self._cache_key("pipeline-state")
-        if key is None:
-            return None
-        payload = self.cache.load(key) if self.cache else None
         if not isinstance(payload, dict):
             return None
         world_blob = payload.get("world")
@@ -773,7 +796,7 @@ class PaperPipeline:
             with obs.span("cache.load-render"):
                 cache_key = self._cache_key("render-all")
                 if cache_key is not None and self.cache is not None:
-                    cached = self.cache.load(cache_key)
+                    cached = self.cache.load(cache_key, _accept_render)
                     if isinstance(cached, str):
                         return cached
 
@@ -799,5 +822,7 @@ class PaperPipeline:
             text = "\n\n".join(parts)
             with obs.span("cache.store-render"):
                 if cache_key is not None and self.cache is not None:
-                    self.cache.store(cache_key, text)
+                    self.cache.store(
+                        cache_key, {"text": text, "sha256": _text_digest(text)}
+                    )
             return text

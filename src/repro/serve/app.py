@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import threading
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -45,6 +46,17 @@ from repro.store.backend import StoreError
 from repro.store.sightings import SightingStore
 
 
+TEXT = "text/plain; charset=utf-8"
+JSON = "application/json"
+
+
+def json_body(payload: Any) -> bytes:
+    """The bytes every JSON answer is served as."""
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode(
+        "utf-8"
+    )
+
+
 @dataclasses.dataclass
 class Response:
     """One finished answer, ready for any transport."""
@@ -57,15 +69,18 @@ class Response:
     seed: Optional[int] = None
 
     @classmethod
-    def text(cls, text: str, status: int = 200, **meta: Any) -> "Response":
-        return cls(
-            status, "text/plain; charset=utf-8", text.encode("utf-8"), **meta
-        )
+    def json(cls, payload: Any, status: int = 200) -> "Response":
+        return cls(status, JSON, json_body(payload))
 
     @classmethod
-    def json(cls, payload: Any, status: int = 200, **meta: Any) -> "Response":
-        body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        return cls(status, "application/json", body.encode("utf-8"), **meta)
+    def answer(
+        cls, entry: WorldEntry, body: bytes, content_type: str = TEXT
+    ) -> "Response":
+        """A 200 carrying a memoized *body* that *entry*'s world answered."""
+        return cls(
+            200, content_type, body,
+            config_fingerprint=entry.key[0], seed=entry.seed,
+        )
 
     @classmethod
     def error(cls, status: int, message: str) -> "Response":
@@ -101,6 +116,15 @@ class ServeApp:
         #: :meth:`first_seen_rows`.
         self._store = store
         self._store_lock = threading.Lock()
+        #: The unscaled configs (``small`` 0/1) with their fingerprints,
+        #: built once: hashing a config per request cost more than
+        #: answering it from a warm memo.  Scaled configs are not kept,
+        #: so nothing here grows with what clients send.
+        self._configs: Dict[bool, Tuple[EcosystemConfig, str]] = {
+            small: (config, fingerprint(config))
+            for small, config in ((False, paper_config()),
+                                  (True, small_config()))
+        }
         self._routes: Dict[str, Callable[..., Response]] = {
             "/healthz": self._healthz,
             "/v1/tables": self._tables,
@@ -118,8 +142,8 @@ class ServeApp:
 
     def resolve_config(
         self, query: Mapping[str, List[str]]
-    ) -> Tuple[EcosystemConfig, int]:
-        """The (config, seed) a request's query parameters select."""
+    ) -> Tuple[EcosystemConfig, str, int]:
+        """The (config, config fingerprint, seed) a request selects."""
         seed_raw = _first(query, "seed")
         try:
             seed = self.default_seed if seed_raw is None else int(seed_raw)
@@ -134,7 +158,7 @@ class ServeApp:
             small = small_raw == "1"
         else:
             raise BadRequest(f"small must be 0 or 1, got {small_raw!r}")
-        config = small_config() if small else paper_config()
+        config, config_fingerprint = self._configs[small]
         scale_raw = _first(query, "scale")
         if scale_raw is not None:
             try:
@@ -143,9 +167,14 @@ class ServeApp:
                 raise BadRequest(
                     f"scale must be a number, got {scale_raw!r}"
                 ) from None
+            if not (math.isfinite(scale) and scale > 0):
+                raise BadRequest(
+                    f"scale must be a positive number, got {scale_raw!r}"
+                )
             if scale != 1.0:
                 config = scaled_config(config, scale)
-        return config, seed
+                config_fingerprint = fingerprint(config)
+        return config, config_fingerprint, seed
 
     # -- dispatch ------------------------------------------------------
 
@@ -177,32 +206,24 @@ class ServeApp:
     def _healthz(
         self, path: str, query: Mapping[str, List[str]]
     ) -> Response:
-        return Response.text("ok\n")
+        return Response(200, TEXT, b"ok\n")
 
     def _entry(self, query: Mapping[str, List[str]]) -> WorldEntry:
-        config, seed = self.resolve_config(query)
-        return self.worlds.entry(config, seed)
+        return self.worlds.entry(*self.resolve_config(query))
 
     def _tables(
         self, path: str, query: Mapping[str, List[str]]
     ) -> Response:
         entry = self._entry(query)
-        # print() in the batch CLI appends one newline; matching it
-        # here is what makes `GET /v1/tables` byte-identical to
-        # `python -m repro run` stdout.
-        text = self.worlds.render(entry, "all") + "\n"
-        return Response.text(
-            text, config_fingerprint=entry.key[0], seed=entry.seed
-        )
+        return Response.answer(entry, self.worlds.render(entry, "all"))
 
     def _one_table(
         self, path: str, query: Mapping[str, List[str]]
     ) -> Response:
         number = path.rsplit("/", 1)[1]
         entry = self._entry(query)
-        text = self.worlds.render(entry, f"table{number}") + "\n"
-        return Response.text(
-            text, config_fingerprint=entry.key[0], seed=entry.seed
+        return Response.answer(
+            entry, self.worlds.render(entry, f"table{number}")
         )
 
     def _feeds(
@@ -211,7 +232,7 @@ class ServeApp:
         entry = self._entry(query)
         pipeline = entry.pipeline
 
-        def compute() -> dict:
+        def compute() -> bytes:
             purity = {
                 row.feed: {
                     "dns": row.dns,
@@ -234,18 +255,16 @@ class ServeApp:
                 }
                 for row in pipeline.table3()
             }
-            return {
+            return json_body({
                 "seed": entry.seed,
                 "config_fingerprint": entry.key[0],
                 "feeds": list(pipeline.feed_order),
                 "purity": purity,
                 "coverage": coverage,
-            }
+            })
 
-        return Response.json(
-            self.worlds.payload(entry, "feeds", compute),
-            config_fingerprint=entry.key[0],
-            seed=entry.seed,
+        return Response.answer(
+            entry, self.worlds.payload(entry, "feeds", compute), JSON
         )
 
     def _snapshot(
@@ -266,10 +285,7 @@ class ServeApp:
             raise BadRequest(
                 f"day must be between 0 and {total}, got {day}"
             )
-        text = self.worlds.snapshot(entry, day) + "\n"
-        return Response.text(
-            text, config_fingerprint=entry.key[0], seed=entry.seed
-        )
+        return Response.answer(entry, self.worlds.snapshot(entry, day))
 
     def _recommend(
         self, path: str, query: Mapping[str, List[str]]
@@ -289,9 +305,9 @@ class ServeApp:
             ) from None
         entry = self._entry(query)
 
-        def compute() -> dict:
+        def compute() -> bytes:
             ranking = rank_feeds(entry.pipeline.comparison, question)
-            return {
+            return json_body({
                 "seed": entry.seed,
                 "config_fingerprint": entry.key[0],
                 "question": question.value,
@@ -304,14 +320,12 @@ class ServeApp:
                     }
                     for rank, score in enumerate(ranking, start=1)
                 ],
-            }
+            })
 
-        return Response.json(
-            self.worlds.payload(
-                entry, f"recommend:{question.value}", compute
-            ),
-            config_fingerprint=entry.key[0],
-            seed=entry.seed,
+        return Response.answer(
+            entry,
+            self.worlds.payload(entry, f"recommend:{question.value}", compute),
+            JSON,
         )
 
     def _first_seen(
@@ -363,11 +377,6 @@ class ServeApp:
         if self._store is not None:
             self._store.close()
             self._store = None
-
-
-def default_config_fingerprint(small: bool) -> str:
-    """Fingerprint of the daemon's default config (manifest provenance)."""
-    return fingerprint(small_config() if small else paper_config())
 
 
 __all__ = ["BadRequest", "Response", "ServeApp"]

@@ -27,15 +27,14 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, cast
 
 from repro.ecosystem import EcosystemConfig
-from repro.io.artifacts import ArtifactCache, fingerprint
+from repro.io.artifacts import ArtifactCache
 from repro.obs.metrics import MetricsRegistry, Number
 from repro.pipeline import PaperPipeline
 from repro.serve.singleflight import SingleFlight
 from repro.store import SightingStore
-from repro.store.sightings import run_key_for
 from repro.stream.engine import StreamEngine
 
 
@@ -70,78 +69,54 @@ class ServeStats:
 
 
 class WorldEntry:
-    """One resident world and its derived-answer caches."""
+    """One resident world and its finished answers.
+
+    Every answer is memoized as the exact response body the daemon
+    writes, so a warm request neither renders nor encodes anything.
+    The memo lives and dies with the entry: LRU eviction frees it.
+    """
 
     def __init__(self, key: Tuple[str, int], pipeline: PaperPipeline):
         self.key = key
         self.pipeline = pipeline
         self.seed = pipeline.seed
-        #: Rendered text per artifact name ("all", "table1", ...).
-        self._renders: Dict[str, str] = {}
-        #: Computed JSON payloads per endpoint-specific name.
-        self._payloads: Dict[str, Any] = {}
-        #: Rendered as-of-day tables per day index.
-        self._snapshots: Dict[int, str] = {}
+        #: Response bodies per ``(kind, name)``: ``("render", artifact)``,
+        #: ``("payload", endpoint name)`` and ``("snapshot", day)``.
+        #: Written only by the one flight leader computing that answer.
+        self.bodies: Dict[Tuple[str, Any], bytes] = {}
         #: The as-of-day view and its guard.
         self._engine: Optional[StreamEngine] = None
         self._engine_lock = threading.Lock()
 
-    # -- rendering -----------------------------------------------------
-
-    def render(self, name: str) -> str:
-        """The named rendered artifact (memoized; caller coalesces)."""
-        text = self._renders.get(name)
-        if text is not None:
-            return text
+    def render_body(self, name: str) -> bytes:
+        """The named rendered artifact ("all", "table1", ...) as served."""
         if name == "all":
             text = self.pipeline.render_all()
         else:
             text = str(getattr(self.pipeline, f"render_{name}")())
-        self._renders[name] = text
-        return text
-
-    def has_render(self, name: str) -> bool:
-        return name in self._renders
-
-    def has_payload(self, name: str) -> bool:
-        return name in self._payloads
-
-    def payload(self, name: str, compute: "Callable[[], Any]") -> Any:
-        """The named JSON payload (memoized; caller coalesces)."""
-        cached = self._payloads.get(name)
-        if cached is None:
-            cached = compute()
-            self._payloads[name] = cached
-        return cached
+        # print() in the batch CLI appends one newline; matching it
+        # here is what makes `GET /v1/tables` byte-identical to
+        # `python -m repro run` stdout.
+        return (text + "\n").encode("utf-8")
 
     # -- as-of-day snapshots -------------------------------------------
 
     def total_days(self) -> int:
         return int(self.pipeline.run().world.timeline.duration_days)
 
-    def has_snapshot(self, day: int) -> bool:
-        return day in self._snapshots
+    def snapshot_body(self, day: int) -> bytes:
+        """Tables as of the start of (zero-based) *day*, as served.
 
-    def snapshot_text(self, day: int) -> str:
-        """Tables as of the start of (zero-based) *day*, memoized.
-
-        One engine answers every day.  Serialized per entry: two
-        coalesced days never interleave on one engine.
+        One engine answers every day.  Serialized per entry: two days
+        computed at once never interleave on one engine.
         """
-        cached = self._snapshots.get(day)
-        if cached is not None:
-            return cached
         with self._engine_lock:
-            cached = self._snapshots.get(day)
-            if cached is not None:
-                return cached
             if self._engine is None:
                 self._engine = self.pipeline.stream_engine()
             self._engine.advance_to_day(day)
             snapshot = self._engine.snapshot()
-            text = f"{snapshot.header()}\n\n{snapshot.render_tables()}"
-            self._snapshots[day] = text
-            return text
+            text = f"{snapshot.header()}\n\n{snapshot.render_tables()}\n"
+        return text.encode("utf-8")
 
     # -- lifecycle -----------------------------------------------------
 
@@ -178,15 +153,20 @@ class WorldCache:
 
     # -- lookup --------------------------------------------------------
 
-    def entry(self, config: EcosystemConfig, seed: int) -> WorldEntry:
+    def entry(
+        self, config: EcosystemConfig, config_fingerprint: str, seed: int
+    ) -> WorldEntry:
         """The resident entry for ``(config, seed)``, building on demand.
 
-        Concurrent identical cold-starts coalesce: exactly one request
-        thread builds (``serve.worlds_built`` counts it), everyone else
-        blocks and shares the entry.  A completed entry is an LRU dict
-        hit -- no flight, no lock beyond the bookkeeping.
+        *config_fingerprint* is ``fingerprint(config)``, which the caller
+        already holds: hashing the config here would cost every warm
+        request more than the rest of the lookup.  Concurrent identical
+        cold-starts coalesce: exactly one request thread builds
+        (``serve.worlds_built`` counts it), everyone else blocks and
+        shares the entry.  A completed entry is an LRU dict hit -- no
+        flight, no lock beyond the bookkeeping.
         """
-        key = (fingerprint(config), seed)
+        key = (config_fingerprint, seed)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -257,70 +237,63 @@ class WorldCache:
         self.stats.add("serve.worlds_built")
         return WorldEntry(key, pipeline)
 
-    def run_key(self, config: EcosystemConfig, seed: int) -> str:
-        """The sighting-store run key a build of this world lands under."""
-        return run_key_for(fingerprint(config), seed)
-
     # -- coalesced derived answers -------------------------------------
 
-    def render(self, entry: WorldEntry, name: str) -> str:
-        """Coalesced memoized render of one artifact for *entry*."""
-        if entry.has_render(name):
-            self.stats.add("serve.render_hits")
-            return entry.render(name)
+    def _body(
+        self,
+        entry: WorldEntry,
+        kind: str,
+        name: Any,
+        compute: Callable[[], bytes],
+    ) -> bytes:
+        """Coalesced memoized response body ``(kind, name)`` of *entry*.
 
-        def compute() -> str:
-            return entry.render(name)
+        A hit counts ``serve.<kind>_hits``; a miss computes once per
+        concurrent burst (``serve.<kind>s_built``) and shares it with
+        the rest (``serve.coalesced_<kind>s``).
+        """
+        memo = (kind, name)
+        body = entry.bodies.get(memo)
+        if body is not None:
+            self.stats.add(f"serve.{kind}_hits")
+            return body
 
-        text, leader = self._flights.do(
-            ("render", entry.key, name), compute
-        )
+        def build() -> bytes:
+            # A leader can win after an earlier flight published.
+            done = entry.bodies.get(memo)
+            if done is None:
+                done = entry.bodies[memo] = compute()
+            return done
+
+        body, leader = self._flights.do((kind, entry.key, name), build)
         self.stats.add(
-            "serve.renders_built" if leader else "serve.coalesced_renders"
+            f"serve.{kind}s_built" if leader else f"serve.coalesced_{kind}s"
         )
-        return str(text)
+        return cast(bytes, body)
+
+    def render(self, entry: WorldEntry, name: str) -> bytes:
+        """Coalesced memoized render of one artifact for *entry*."""
+        return self._body(
+            entry, "render", name, lambda: entry.render_body(name)
+        )
 
     def payload(
-        self, entry: WorldEntry, name: str, compute: Callable[[], Any]
-    ) -> Any:
-        """Coalesced memoized JSON payload for *entry*.
+        self, entry: WorldEntry, name: str, compute: Callable[[], bytes]
+    ) -> bytes:
+        """Coalesced memoized JSON body for *entry*.
 
         The JSON endpoints (feeds, recommend) walk the comparison
         analyses, which are far from free -- without this they would
         recompute per request while their text twins ride the render
         cache.
         """
-        if entry.has_payload(name):
-            self.stats.add("serve.payload_hits")
-            return entry.payload(name, compute)
+        return self._body(entry, "payload", name, compute)
 
-        def build() -> Any:
-            return entry.payload(name, compute)
-
-        value, leader = self._flights.do(
-            ("payload", entry.key, name), build
-        )
-        self.stats.add(
-            "serve.payloads_built" if leader else "serve.coalesced_payloads"
-        )
-        return value
-
-    def snapshot(self, entry: WorldEntry, day: int) -> str:
+    def snapshot(self, entry: WorldEntry, day: int) -> bytes:
         """Coalesced memoized as-of-day tables for *entry*."""
-        if entry.has_snapshot(day):
-            self.stats.add("serve.snapshot_hits")
-            return entry.snapshot_text(day)
-
-        def compute() -> str:
-            return entry.snapshot_text(day)
-
-        text, leader = self._flights.do(
-            ("snapshot", entry.key, day), compute
+        return self._body(
+            entry, "snapshot", day, lambda: entry.snapshot_body(day)
         )
-        self.stats.add(
-            "serve.snapshots_built" if leader else "serve.coalesced_snapshots"
-        )
-        return str(text)
 
     # -- introspection / lifecycle -------------------------------------
 

@@ -19,7 +19,8 @@ import pytest
 from repro import obs
 from repro.ecosystem import small_config
 from repro.ecosystem.world import World
-from repro.io.artifacts import ArtifactCache
+from repro.io.artifacts import ArtifactCache, fingerprint
+from repro.obs.manifest import build_manifest, manifest_stage_names
 from repro.pipeline import PaperPipeline
 from repro.pipeline import runner as runner_module
 
@@ -232,3 +233,49 @@ class TestStateIntegrity:
         cache.store(state_key, dict(payload, columns=columns))
         with PaperPipeline(small_config(), seed=7, cache=cache) as warm:
             assert warm.render_all() == cold_caches[7][1]
+
+    def test_rejected_entry_counts_a_miss_not_a_hit(
+        self, cold_caches, tmp_path
+    ):
+        cache = _copy_cache(cold_caches, 7, tmp_path)
+        state_key = _key("pipeline-state", 7)
+        assert cache.invalidate(_key("render-all", 7))
+        payload = cache.load(state_key)
+        cache.store(state_key, dict(payload, sha256="0" * 64))
+        tracer = obs.Tracer()
+        with obs.activate(tracer):
+            with PaperPipeline(small_config(), seed=7, cache=cache) as warm:
+                assert warm.render_all() == cold_caches[7][1]
+        manifest = build_manifest(
+            tracer, command="run", seed=7,
+            config_fingerprint=fingerprint(small_config()),
+        )
+        counters = manifest["metrics"]["counters"]
+        assert counters["cache.hit"] == 0
+        assert counters["cache.miss"] == 2  # the state and the render
+        assert "world.build" in manifest_stage_names(manifest)
+
+
+class TestRenderIntegrity:
+    def test_flipped_table_byte_is_a_miss(self, cold_caches, tmp_path):
+        cache = _copy_cache(cold_caches, 7, tmp_path)
+        path = cache.path_for(_key("render-all", 7))
+        with open(path, "rb") as handle:
+            data = bytearray(handle.read())
+        at = bytes(data).find(b"Table 2")
+        assert at >= 0
+        data[at + len("Table ")] ^= 0x01  # "Table 2" -> "Table 3"
+        with open(path, "wb") as handle:
+            handle.write(bytes(data))
+
+        cold = cold_caches[7][1]
+        tracer = obs.Tracer()
+        with obs.activate(tracer):
+            with PaperPipeline(small_config(), seed=7, cache=cache) as warm:
+                assert warm.render_all() == cold
+        assert tracer.metrics.counter("cache.miss") == 1  # the render
+        with PaperPipeline(small_config(), seed=7, cache=cache) as again:
+            assert again.render_all() == cold  # the miss rewrote it
+        assert cache.load(_key("render-all", 7)) == {
+            "text": cold, "sha256": runner_module._text_digest(cold),
+        }

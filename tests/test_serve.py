@@ -13,6 +13,7 @@ Three contracts from the issue, each pinned here:
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
@@ -28,6 +29,8 @@ import urllib.request
 import pytest
 
 from repro.__main__ import main
+from repro.ecosystem import scaled_config, small_config
+from repro.io.artifacts import fingerprint
 from repro.serve import (
     ServeApp,
     ServeDaemon,
@@ -35,6 +38,7 @@ from repro.serve import (
     SingleFlight,
     WorldCache,
 )
+from repro.serve import worlds as worlds_module
 
 SMALL_SEED = 7
 
@@ -227,6 +231,114 @@ class TestCoalescing:
         ranks = [entry["rank"] for entry in payload["ranking"]]
         assert ranks == sorted(ranks)
         assert len(payload["ranking"]) >= 5
+
+
+# ----------------------------------------------------------------------
+# Transport: one keep-alive connection, no per-response stall
+# ----------------------------------------------------------------------
+
+
+class TestTransport:
+    def test_keep_alive_requests_do_not_stall(self, daemon):
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", daemon.port, timeout=120
+        )
+
+        def get(path):
+            conn.request("GET", path)
+            response = conn.getresponse()
+            assert response.status == 200
+            return response.read()
+
+        try:
+            for path in ("/v1/table/1", "/healthz"):
+                first = get(path)  # warm: world, render memo
+                began = time.monotonic()
+                bodies = [get(path) for _ in range(20)]
+                took = time.monotonic() - began
+                # A response held back for the client's delayed ACK
+                # costs ~40 ms; twenty of them would take 800 ms.
+                assert took < 0.4, (path, took)
+                assert all(body == first for body in bodies)
+        finally:
+            conn.close()
+
+
+# ----------------------------------------------------------------------
+# Config resolution: memoized unscaled configs, nothing client-sized
+# ----------------------------------------------------------------------
+
+
+class _FakePipeline:
+    """Stands in for ``PaperPipeline`` where only world identity matters."""
+
+    pool_width = 1
+
+    def __init__(self, config, seed, **kwargs):
+        self.config = config
+        self.seed = seed
+
+    def run(self):
+        return None
+
+    def render_table1(self):
+        return f"table 1 of seed {self.seed}"
+
+    def close(self):
+        pass
+
+
+@pytest.fixture
+def fake_worlds(monkeypatch):
+    monkeypatch.setattr(worlds_module, "PaperPipeline", _FakePipeline)
+
+
+class TestConfigResolution:
+    def test_bad_parameters_stay_400_after_the_memo_is_warm(self, daemon):
+        assert _get(daemon, "/v1/table/1")[0] == 200
+        for query in ("seed=x", "small=2", "scale=abc", "scale=0",
+                      "scale=-1", "scale=nan", "scale=inf"):
+            status, body = _get(daemon, f"/v1/table/1?{query}")
+            assert status == 400, query
+            assert "error" in json.loads(body)
+
+    def test_unit_scale_spellings_share_one_world(self, fake_worlds):
+        app = _make_app()
+        bodies = {
+            app.handle("/v1/table/1", query).body
+            for query in ({}, {"scale": ["1"]}, {"scale": ["1.0"]})
+        }
+        assert bodies == {b"table 1 of seed 7\n"}
+        assert app.stats.counter("serve.worlds_built") == 1
+        assert app.stats.counter("serve.world_hits") == 2
+
+    def test_distinct_seeds_grow_no_config_memo(self, fake_worlds):
+        app = _make_app(max_worlds=3)
+        for seed in range(50):
+            response = app.handle("/v1/table/1", {"seed": [str(seed)]})
+            assert response.status == 200
+            assert len(app._configs) <= 2
+            assert len(app.worlds.resident()) <= 3
+        assert app.stats.counter("serve.worlds_built") == 50
+        assert app.stats.counter("serve.worlds_evicted") == 47
+
+    def test_manifest_names_the_answering_config(
+        self, fake_worlds, tmp_path
+    ):
+        served = ServeDaemon(_make_app(), port=0, manifest_dir=str(tmp_path))
+        try:
+            for query in ({}, {"scale": ["2"]}):
+                assert served.handle_request("/v1/table/1", query).status == 200
+        finally:
+            served.close()
+        manifests = sorted(tmp_path.glob("request-*.json"))
+        assert [
+            json.loads(path.read_text())["config_fingerprint"]
+            for path in manifests
+        ] == [
+            fingerprint(small_config()),
+            fingerprint(scaled_config(small_config(), 2.0)),
+        ]
 
 
 # ----------------------------------------------------------------------
