@@ -125,7 +125,7 @@ class BlacklistFeed(FeedCollector):
             builder.append(domain, first_advertised[domain] + int(latency))
 
         self._benign_false_positives(world, builder)
-        return self._finalize_columns(world, builder)
+        return self._finalize(world, builder)
 
     def _evidence_cache(self, world: World) -> Dict[str, float]:
         if self._evidence is None:

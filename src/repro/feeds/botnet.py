@@ -84,4 +84,4 @@ class BotnetFeed(FeedCollector):
                 ),
                 respect_broadcast_lag=True,
             )
-        return self._finalize_columns(world, builder)
+        return self._finalize(world, builder)

@@ -125,7 +125,7 @@ class HoneyAccountFeed(FeedCollector):
             )
 
         self._benign_leakage(world, builder)
-        return self._finalize_columns(world, builder)
+        return self._finalize(world, builder)
 
     def _benign_leakage(self, world: World, builder: ColumnBuilder) -> None:
         """Username typos and list cross-contamination."""

@@ -132,7 +132,7 @@ class HumanIdentifiedFeed(FeedCollector):
 
         self._junk_reports(world, builder)
         self._newsletter_reports(world, builder)
-        return self._finalize_columns(world, builder)
+        return self._finalize(world, builder)
 
     def _capture_campaign(
         self,

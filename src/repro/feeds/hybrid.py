@@ -90,7 +90,7 @@ class HybridFeed(FeedCollector):
         builder = ColumnBuilder()
         self._email_component(world, builder)
         self._webspam_component(world, builder)
-        return self._finalize_columns(world, builder)
+        return self._finalize(world, builder)
 
     def _email_component(self, world: World, builder: ColumnBuilder) -> None:
         cfg = self.config

@@ -121,7 +121,7 @@ class MxHoneypotFeed(FeedCollector):
             )
 
         self._benign_leakage(world, builder)
-        return self._finalize_columns(world, builder)
+        return self._finalize(world, builder)
 
     def _benign_leakage(self, world: World, builder: ColumnBuilder) -> None:
         """Typo mail and sign-up dummy addresses hitting the honeypot."""

@@ -153,10 +153,8 @@ def _collect_task(state: CollectState, index: int) -> FeedDataset:
 
 def land_dataset(writer: "RunWriter", dataset: FeedDataset) -> None:
     """Land one collected dataset into a sighting-store run."""
-    columns = dataset.to_columns()
-    writer.land_sightings(
-        dataset.name, zip(columns.domains, columns.times)
-    )
+    block = dataset.block
+    writer.land_sightings(dataset.name, zip(block.domains, block.times))
 
 
 def collect_all(
@@ -172,8 +170,8 @@ def collect_all(
     one they run in-process, in collector order.  Each collector draws
     only from its own seed-derived RNG streams and results are reduced
     in collector order, so the datasets are byte-identical at any pool
-    width (forked workers return column-backed datasets, which serve
-    the same statistics in the same order).
+    width (a forked worker's dataset arrives as its packed columns and
+    unpacks to the same block).
 
     With a *writer* attached, each dataset lands in the sighting store
     in collector order.  Landing is a store-side effect only -- the

@@ -46,8 +46,8 @@ def value_counts(domains: Sequence[str]) -> Dict[str, float]:
     """Per-domain record counts as floats, in first-appearance order.
 
     ``Counter`` iterates the column in C and preserves first-encounter
-    insertion order; values are floats because the record-backed
-    accumulation historically produced ``5.0``, and the distinction
+    insertion order; values are floats because the per-record
+    accumulation this replaced produced ``5.0``, and the distinction
     can leak into serialized artifacts.
     """
     return {domain: float(n) for domain, n in Counter(domains).items()}

@@ -24,6 +24,29 @@ class FeedFormatError(ValueError):
     """Raised when a feed file does not match the expected format."""
 
 
+#: The time column packs as signed 64-bit (:data:`repro.io.columns
+#: .TIME_TYPECODE`).
+_TIME_MIN, _TIME_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _packable_record(domain: str, time: int) -> FeedRecord:
+    """A record the packed columns can carry, or ValueError.
+
+    Packed domains are newline-joined UTF-8 and times are int64
+    (:class:`repro.io.columns.PackedBlock`).  A record outside that
+    would read fine and fail only later, when the dataset crosses a
+    process or the artifact cache, so it is refused here.
+    """
+    if not domain:
+        raise ValueError("empty domain")
+    if "\n" in domain:
+        raise ValueError(f"newline in domain {domain!r}")
+    domain.encode("utf-8")  # UnicodeEncodeError on a lone surrogate
+    if not _TIME_MIN <= time <= _TIME_MAX:
+        raise ValueError(f"time {time} outside int64")
+    return FeedRecord(domain, time)
+
+
 def write_feed_jsonl(dataset: FeedDataset, path: str) -> None:
     """Write *dataset* to *path* in JSONL form."""
     header = {
@@ -66,7 +89,9 @@ def read_feed_jsonl(path: str) -> FeedDataset:
                 continue
             try:
                 obj = json.loads(line)
-                records.append(FeedRecord(str(obj["d"]), int(obj["t"])))
+                records.append(
+                    _packable_record(str(obj["d"]), int(obj["t"]))
+                )
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise FeedFormatError(
                     f"{path}:{line_number}: bad record: {exc}"

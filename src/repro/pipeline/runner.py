@@ -41,7 +41,7 @@ from repro.feeds import (
     land_dataset,
     standard_feed_suite,
 )
-from repro.feeds.base import ColumnarFeedDataset, PackedColumns
+from repro.feeds.base import PackedColumns
 from repro.io.artifacts import ArtifactCache, artifact_key, fingerprint
 from repro.store.sightings import RunWriter, SightingStore, run_key_for
 from repro.parallel import PoolClosed, WorkerCrashed, WorkerPool, resolve_jobs
@@ -327,7 +327,7 @@ class PaperPipeline:
             if payload.get("sha256") != _state_digest(world_blob, columns):
                 return None
             datasets: Dict[str, FeedDataset] = {
-                packed.name: ColumnarFeedDataset.from_packed(packed)
+                packed.name: FeedDataset.from_packed(packed)
                 for packed in columns
             }
         except (TypeError, ValueError):

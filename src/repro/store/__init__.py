@@ -18,8 +18,8 @@ with the run.  This package gives sightings a durable home:
   ``python -m repro query``.
 
 The store is an *output* of the deterministic pipeline, never an
-input to analysis math: analyses keep reading in-memory
-``DatasetColumns`` (the gold-tier columnar view), so a store-backed
+input to analysis math: analyses keep reading each in-memory
+``FeedDataset``'s column block, so a store-backed
 run prints byte-identical results to a store-less one.
 """
 

@@ -9,7 +9,7 @@ prefix of its columns found by one bisect over the time column:
   day (``advance_to_day``, ``run``, ``daily_snapshots``), lands the
   prefixes into a sighting store, and checkpoints its position as
   ``(run key, day)`` through :mod:`repro.io.checkpoint`.
-* :class:`StreamSnapshot` wraps the prefixes in column-backed datasets
+* :class:`StreamSnapshot` wraps the prefixes in ``FeedDataset`` views
   and renders the paper's Table 1/2/3 ("as of day N") through the same
   analyses and renderers as the batch path.
 

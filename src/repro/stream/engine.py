@@ -1,13 +1,14 @@
 """The streaming analysis engine: an as-of-day view over collected feeds.
 
-Collected feed datasets are time-sorted columns, so the stream "as of
-day D" is each feed's prefix of records strictly before D's start
-boundary -- one ``bisect_left`` over the feed's time column.
-:class:`StreamEngine` holds one prefix length per feed; moving it to
-any day (forward or back) is a bisect per feed.  A
-:class:`StreamSnapshot` wraps the prefixes in column-backed
-:class:`~repro.feeds.base.ColumnarFeedDataset` views and hands them to
-the same :class:`FeedComparison` analyses and renderers the batch
+Every :class:`~repro.feeds.base.FeedDataset` is a column block, and
+collected ones are time-sorted, so the stream "as of day D" is each
+feed's prefix of records strictly before D's start boundary -- one
+``bisect_left`` over the feed's time column.  :class:`StreamEngine`
+holds one prefix length per feed; moving it to any day (forward or
+back) is a bisect per feed.  A :class:`StreamSnapshot` wraps the
+prefixes in ``FeedDataset.from_block`` views (no copy of the columns
+beyond the prefix slice) and hands them to the same
+:class:`FeedComparison` analyses and renderers the batch
 :class:`~repro.pipeline.runner.PaperPipeline` uses, so a drained
 snapshot is the batch output, byte for byte.
 
@@ -52,7 +53,6 @@ from repro.feeds import (
     FeedDataset,
     PAPER_FEED_ORDER,
 )
-from repro.feeds.base import ColumnarFeedDataset
 from repro.io.checkpoint import (
     CheckpointError,
     read_checkpoint,
@@ -79,7 +79,7 @@ CHECKPOINT_KIND = "stream-engine"
 class StreamSnapshot:
     """Frozen as-of-now analysis over each feed's consumed prefix.
 
-    ``feeds`` holds one column-backed dataset per feed over the prefix
+    ``feeds`` holds one dataset per feed over the prefix
     (feeds with no records yet hold an empty one).  The heavy artifacts
     (purity, coverage, overlap, volume) are computed lazily through a
     :class:`FeedComparison` over those datasets, so taking a snapshot is
@@ -184,14 +184,12 @@ class StreamSnapshot:
 def _time_sorted(dataset: FeedDataset) -> ColumnBlock:
     """*dataset*'s columns in non-decreasing time order.
 
-    Collected datasets are already time-sorted column blocks and are
-    used as they are; anything else gets one stable time sort, the
-    order :meth:`FeedDataset.chronological_records` gives.
+    Collected datasets are already time-sorted and are used as they
+    are; anything else gets one stable time sort, so same-minute
+    sightings keep their record order.
     """
-    if isinstance(dataset, ColumnarFeedDataset):
-        block = dataset.block
-        return block if block.is_chronological() else block.sorted_by_time()
-    return ColumnBlock.from_records(dataset.chronological_records())
+    block = dataset.block
+    return block if block.is_chronological() else block.sorted_by_time()
 
 
 class StreamEngine:
@@ -363,7 +361,7 @@ class StreamEngine:
                     block.domains[:cut], block.times[:cut], chronological=True
                 )
             ds = self.datasets[name]
-            feeds[name] = ColumnarFeedDataset.from_block(
+            feeds[name] = FeedDataset.from_block(
                 ds.name, ds.feed_type, ds.has_volume, block
             )
         return StreamSnapshot(

@@ -36,6 +36,23 @@ from repro.simtime import Timeline, days
 SMALL_SEED = 7
 
 
+@pytest.fixture(scope="session", autouse=True)
+def isolated_artifact_cache(tmp_path_factory):
+    """Point the default artifact cache at a per-session temp directory.
+
+    CLI-driving tests run with the default cache location; without this
+    they would fill the user's ``~/.cache/repro``.  Tests that check how
+    the default location resolves set their own environment with
+    ``monkeypatch``, which restores this value afterwards.
+    """
+    patch = pytest.MonkeyPatch()
+    patch.setenv(
+        "REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("repro-cache"))
+    )
+    yield
+    patch.undo()
+
+
 @pytest.fixture(scope="session")
 def small_world():
     """The generated miniature world."""

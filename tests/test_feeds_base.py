@@ -67,20 +67,6 @@ class TestTimingView:
         assert last["c.com"] == 20
 
 
-class TestRestrict:
-    def test_restrict_filters_records(self):
-        ds = make_dataset(SAMPLE).restrict({"a.com"})
-        assert ds.total_samples == 3
-        assert ds.unique_domains() == {"a.com"}
-
-    def test_restrict_preserves_metadata(self):
-        ds = make_dataset(SAMPLE, name="x", has_volume=False)
-        restricted = ds.restrict({"b.com"})
-        assert restricted.name == "x"
-        assert restricted.feed_type is FeedType.MX_HONEYPOT
-        assert not restricted.has_volume
-
-
 class TestFeedTypes:
     def test_five_paper_categories_plus_hybrid(self):
         values = {t.value for t in FeedType}
@@ -93,20 +79,33 @@ class TestFeedTypes:
 class TestFinalize:
     def test_finalize_drops_out_of_window_and_sorts(self, small_world):
         from repro.feeds.base import FeedCollector
+        from repro.io.columns import ColumnBuilder
 
         class Dummy(FeedCollector):
             name = "dummy"
             feed_type = FeedType.MX_HONEYPOT
+            has_volume = False
 
             def collect(self, world):
-                records = [
-                    FeedRecord("a.com", -5),
-                    FeedRecord("b.com", 50),
-                    FeedRecord("c.com", world.timeline.end + 10),
-                    FeedRecord("d.com", 10),
-                ]
-                return self._finalize(world, records)
+                builder = ColumnBuilder()
+                builder.append("a.com", -5)
+                builder.append("b.com", 50)
+                builder.append("c.com", world.timeline.end + 10)
+                builder.append("d.com", 10)
+                builder.append("e.com", world.timeline.end - 1)
+                builder.append("g.com", world.timeline.end)
+                builder.append("f.com", 10)
+                return self._finalize(world, builder)
 
         ds = Dummy().collect(small_world)
-        assert [r.domain for r in ds.records] == ["d.com", "b.com"]
-        assert [r.time for r in ds.records] == [10, 50]
+        end = small_world.timeline.end
+        # [start, end): the end minute is out; ties keep builder order.
+        assert ds.records == [
+            FeedRecord("d.com", 10),
+            FeedRecord("f.com", 10),
+            FeedRecord("b.com", 50),
+            FeedRecord("e.com", end - 1),
+        ]
+        assert (ds.name, ds.feed_type, ds.has_volume) == (
+            "dummy", FeedType.MX_HONEYPOT, False
+        )

@@ -91,6 +91,26 @@ class TestJsonlErrors:
         with pytest.raises(FeedFormatError, match=":2:"):
             read_feed_jsonl(str(path))
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"d": "", "t": 5}',
+            '{"d": "a.com\\nb.com", "t": 5}',
+            '{"d": "a.com", "t": 9223372036854775808}',
+            '{"d": "\\ud800.com", "t": 5}',
+        ],
+        ids=["empty-domain", "newline-in-domain", "time-past-int64",
+             "lone-surrogate"],
+    )
+    def test_unpackable_record_rejected(self, tmp_path, record):
+        # Every dataset is packed when it crosses a process or the
+        # artifact cache; a record the packed columns cannot carry
+        # must fail here, with its line, not at the first pickle.
+        path = tmp_path / "f.jsonl"
+        path.write_text('{"feed": "x", "type": "botnet"}\n' + record + "\n")
+        with pytest.raises(FeedFormatError, match=r":2: bad record"):
+            read_feed_jsonl(str(path))
+
 
 class TestDirectoryIo:
     def test_write_read_dir(self, tmp_path):

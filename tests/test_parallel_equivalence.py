@@ -18,7 +18,7 @@ import pytest
 
 from repro.ecosystem import build_world, paper_config, small_config
 from repro.feeds import CollectState, collect_all, standard_feed_suite
-from repro.feeds.base import ColumnarFeedDataset, FeedDataset, FeedRecord, FeedType
+from repro.feeds.base import FeedDataset, FeedRecord, FeedType
 from repro.io.artifacts import ArtifactCache
 from repro.parallel import WorkerPool, fork_available, resolve_jobs
 from repro.pipeline import PaperPipeline
@@ -115,8 +115,21 @@ class TestOrderedFanout:
 
 
 # ----------------------------------------------------------------------
-# Columnar datasets serve identical statistics
+# Datasets serve per-record statistics from their columns
 # ----------------------------------------------------------------------
+
+
+def _record_loop_stats(records):
+    """The per-record reference: counts and first/last sightings in
+    first-appearance order, as a straight loop over the records."""
+    counts, first, last = {}, {}, {}
+    for domain, t in records:
+        counts[domain] = counts.get(domain, 0.0) + 1.0
+        if domain not in first or t < first[domain]:
+            first[domain] = t
+        if domain not in last or t > last[domain]:
+            last[domain] = t
+    return counts, first, last
 
 
 class TestColumnarDataset:
@@ -132,47 +145,47 @@ class TestColumnarDataset:
 
     def test_round_trip_preserves_everything(self):
         original = self.build()
-        columnar = ColumnarFeedDataset(original.to_columns())
-        assert columnar.records == original.records
-        assert columnar.name == original.name
-        assert columnar.feed_type is original.feed_type
-        assert columnar.has_volume == original.has_volume
-        assert len(columnar) == len(original)
-        assert columnar.total_samples == original.total_samples
-        assert columnar.unique_domains() == original.unique_domains()
-        assert list(columnar.domain_counts().items()) == list(
-            original.domain_counts().items()
+        counts, first, last = _record_loop_stats(original.records)
+        copies = (
+            FeedDataset.from_packed(original.packed()),
+            FeedDataset.from_block(
+                "x", FeedType.MX_HONEYPOT, True, original.block
+            ),
         )
-        # Insertion order matters: analyses iterate these dicts.
-        assert list(columnar.first_seen().items()) == list(
-            original.first_seen().items()
-        )
-        assert list(columnar.last_seen().items()) == list(
-            original.last_seen().items()
-        )
-        assert (
-            columnar.chronological_records()
-            == original.chronological_records()
-        )
+        for copy in (original,) + copies:
+            assert copy.records == original.records
+            assert copy.name == original.name
+            assert copy.feed_type is original.feed_type
+            assert copy.has_volume == original.has_volume
+            assert len(copy) == len(original) == 5
+            assert copy.total_samples == 5
+            assert copy.unique_domains() == set(counts)
+            # Insertion order matters: analyses iterate these dicts.
+            assert list(copy.domain_counts().items()) == list(counts.items())
+            assert list(copy.first_seen().items()) == list(first.items())
+            assert list(copy.last_seen().items()) == list(last.items())
 
     def test_stats_served_without_materializing_records(self):
-        columnar = ColumnarFeedDataset(self.build().to_columns())
-        assert columnar.n_unique == 3
-        assert columnar.total_samples == 5
-        assert columnar._materialized is None
+        dataset = FeedDataset.from_packed(self.build().packed())
+        assert dataset.n_unique == 3
+        assert dataset.total_samples == 5
+        assert dataset.first_seen()["a.com"] == 3
+        assert dataset._records is None
 
     def test_column_length_mismatch_rejected(self):
-        cols = self.build().to_columns()
-        bad = cols._replace(times=cols.times[:-1])
+        packed = self.build().packed()
         with pytest.raises(ValueError):
-            ColumnarFeedDataset(bad)
+            FeedDataset.from_packed(packed._replace(n_records=4))
 
     def test_pickles_as_packed_columns(self):
         # How a dataset crosses a process boundary: packed columns in,
-        # a column-backed dataset with identical statistics out.
+        # a dataset with identical statistics out.
         original = self.build()
+        assert original.__reduce__() == (
+            FeedDataset.from_packed, (original.packed(),)
+        )
         copy = pickle.loads(pickle.dumps(original))
-        assert isinstance(copy, ColumnarFeedDataset)
+        assert isinstance(copy, FeedDataset)
         assert copy.packed() == original.packed()
         assert copy.records == original.records
 

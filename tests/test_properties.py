@@ -1,5 +1,6 @@
 """Cross-module property tests (hypothesis) on core invariants."""
 
+import pickle
 import random
 import statistics
 
@@ -124,6 +125,51 @@ class TestDatasetInvariants:
             assert roundtrip_equal(dataset, read_feed_jsonl(path))
         finally:
             os.unlink(path)
+
+
+def _record_loop_stats(pairs):
+    """The per-record reference loop for the dataset statistics."""
+    counts, first, last = {}, {}, {}
+    for domain, t in pairs:
+        counts[domain] = counts.get(domain, 0.0) + 1.0
+        if domain not in first or t < first[domain]:
+            first[domain] = t
+        if domain not in last or t > last[domain]:
+            last[domain] = t
+    return counts, first, last
+
+
+class TestColumnKernelsMatchRecordLoop:
+    """Column kernels reproduce the per-record loop, dict order included."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["a.com", "b.net", "c.org", "d.biz"]),
+                st.integers(0, 40),
+            ),
+            max_size=60,
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=200)
+    def test_statistics_equal_record_loop(self, raw, presorted):
+        pairs = sorted(raw, key=lambda p: p[1]) if presorted else raw
+        dataset = FeedDataset(
+            "t", FeedType.MX_HONEYPOT, [FeedRecord(d, t) for d, t in pairs]
+        )
+        counts, first, last = _record_loop_stats(pairs)
+        assert dataset.total_samples == len(pairs)
+        assert dataset.unique_domains() == set(counts)
+        assert list(dataset.domain_counts().items()) == list(counts.items())
+        assert list(dataset.first_seen().items()) == list(first.items())
+        assert list(dataset.last_seen().items()) == list(last.items())
+
+        copy = pickle.loads(pickle.dumps(dataset))
+        assert copy.records == dataset.records == [
+            FeedRecord(d, t) for d, t in pairs
+        ]
+        assert copy.packed() == dataset.packed()
 
 
 class TestRankAgreementInvariants:

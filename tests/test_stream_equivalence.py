@@ -139,7 +139,7 @@ class TestWindowedSnapshots:
             name: FeedDataset(
                 ds.name,
                 ds.feed_type,
-                [r for r in ds.chronological_records() if r.time < boundary],
+                [r for r in ds.records if r.time < boundary],
                 has_volume=ds.has_volume,
             )
             for name, ds in small_datasets.items()

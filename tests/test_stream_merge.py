@@ -7,14 +7,11 @@ statistics and checkpoint properties of that view on small hand-built
 feeds placed on the miniature world's timeline.
 """
 
+import pickle
+
 import pytest
 
-from repro.feeds.base import (
-    ColumnarFeedDataset,
-    FeedDataset,
-    FeedRecord,
-    FeedType,
-)
+from repro.feeds.base import FeedDataset, FeedRecord, FeedType
 from repro.io.checkpoint import (
     CheckpointError,
     read_checkpoint,
@@ -154,24 +151,29 @@ class TestRecordStream:
         assert engine.exhausted
         assert engine.run() == 0
 
-    def test_chronological_records_sorts_unsorted_dataset(self, small_world):
+    def test_engine_time_sorts_unsorted_dataset(self, small_world):
         dataset = FeedDataset(
             "x", FeedType.BOTNET,
-            [FeedRecord("b.com", 9), FeedRecord("a.com", 2)],
+            [
+                FeedRecord("b.com", 9),
+                FeedRecord("c.com", 2),
+                FeedRecord("a.com", 2),
+            ],
         )
-        ordered = dataset.chronological_records()
-        assert [r.time for r in ordered] == [2, 9]
-        # The raw record list is untouched.
-        assert [r.time for r in dataset.records] == [9, 2]
-        # The engine slices that order, for record- and column-backed
-        # datasets alike.
-        columnar = ColumnarFeedDataset(dataset.to_columns())
-        for source in (dataset, columnar):
+        for source in (dataset, pickle.loads(pickle.dumps(dataset))):
             engine = _engine(small_world, {"x": source})
             engine.run()
             prefix = engine.snapshot().feeds["x"]
-            assert list(prefix.first_seen()) == ["a.com", "b.com"]
+            # A stable time sort: same-minute sightings keep record order.
+            assert prefix.records == [
+                FeedRecord("c.com", 2),
+                FeedRecord("a.com", 2),
+                FeedRecord("b.com", 9),
+            ]
+            assert list(prefix.first_seen()) == ["c.com", "a.com", "b.com"]
             assert engine.position == 9
+        # The dataset itself is untouched.
+        assert [r.time for r in dataset.records] == [9, 2, 2]
 
 
 class TestStreamState:
