@@ -85,12 +85,24 @@ def _artifact_cache(args) -> Optional[ArtifactCache]:
     return ArtifactCache(root)
 
 
-def _sighting_store(args) -> Optional[SightingStore]:
-    """The durable sighting store ``--store`` asks for, if any."""
+def _sighting_store(
+    args, cross_thread: bool = False
+) -> Optional[SightingStore]:
+    """The durable sighting store ``--store`` asks for, if any.
+
+    Raises :class:`StoreError` for a file that is not a sighting store
+    of this version; callers report it with :func:`_store_error`.
+    """
     path = getattr(args, "store", None)
     if not path:
         return None
-    return SightingStore.open(path)
+    return SightingStore.open(path, cross_thread=cross_thread)
+
+
+def _store_error(exc: StoreError) -> int:
+    """Report a bad store file the way every command does: exit 2."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 def _observability_tracer(args) -> Optional[obs.Tracer]:
@@ -179,7 +191,10 @@ def _build_pipeline(
 
 def _cmd_run(args) -> int:
     tracer = _observability_tracer(args)
-    store = _sighting_store(args)
+    try:
+        store = _sighting_store(args)
+    except StoreError as exc:
+        return _store_error(exc)
     pipeline = None
     try:
         with obs.activate(tracer):
@@ -204,7 +219,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_stream(args) -> int:
     tracer = _observability_tracer(args)
-    store = _sighting_store(args)
+    try:
+        store = _sighting_store(args)
+    except StoreError as exc:
+        return _store_error(exc)
     try:
         with obs.activate(tracer):
             status = _stream_body(args, store)
@@ -326,8 +344,7 @@ def _cmd_query(args) -> int:
     try:
         store = open_store_file(args.store)
     except StoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _store_error(exc)
     try:
         if args.query_command == "first-seen":
             print(render_first_seen(store, args.domain))
@@ -487,12 +504,13 @@ def _cmd_serve(args) -> int:
     # Imported here so batch subcommands never pay for the HTTP stack.
     from repro.serve import ServeApp, ServeDaemon, ServeStats, WorldCache
 
-    store = None
-    if args.store:
+    try:
         # The daemon answers /v1/first-seen from request threads but
         # opens the store on the main thread: cross-thread connection,
         # serialized by the app's store lock.
-        store = SightingStore.open(args.store, cross_thread=True)
+        store = _sighting_store(args, cross_thread=True)
+    except StoreError as exc:
+        return _store_error(exc)
     stats = ServeStats()
     worlds = WorldCache(
         stats,

@@ -154,7 +154,7 @@ def _collect_task(state: CollectState, index: int) -> FeedDataset:
 def land_dataset(writer: "RunWriter", dataset: FeedDataset) -> None:
     """Land one collected dataset into a sighting-store run."""
     block = dataset.block
-    writer.land_sightings(dataset.name, zip(block.domains, block.times))
+    writer.land_sightings(dataset.name, block.domains, block.times)
 
 
 def collect_all(

@@ -24,7 +24,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from itertools import compress
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 #: The array typecode of the time column: signed 64-bit, matching the
 #: on-disk/pipe blob layout.
@@ -142,13 +142,6 @@ class ColumnBlock:
         self._chronological = chronological
 
     @classmethod
-    def from_pairs(
-        cls, domains: Iterable[str], times: Iterable[int]
-    ) -> "ColumnBlock":
-        """Build a block from two parallel iterables."""
-        return cls(list(domains), array(TIME_TYPECODE, times))
-
-    @classmethod
     def from_records(
         cls, records: Sequence[Tuple[str, int]]
     ) -> "ColumnBlock":
@@ -261,17 +254,6 @@ class ColumnBuilder:
         """Add many sightings of one domain (the scatter hot path)."""
         self._domains += [domain] * len(times)
         self._times.extend(times)
-
-    def extend_pairs(
-        self, domains: Iterable[str], times: Iterable[int]
-    ) -> None:
-        """Add parallel columns of sightings."""
-        before = len(self._domains)
-        self._domains.extend(domains)
-        self._times.extend(times)
-        if len(self._domains) != len(self._times):  # pragma: no cover
-            del self._domains[before:]
-            raise ValueError("domain and time iterables differ in length")
 
     def build(self) -> ColumnBlock:
         """The accumulated block (the builder must not be reused)."""

@@ -1,4 +1,4 @@
-"""Durable sighting store with pluggable backends (ROADMAP item 2).
+"""Durable sighting store on one SQLite backend.
 
 The batch pipeline, the streaming engine, and the external-feed
 ingester all observe *sightings* -- ``(feed, domain, time)`` facts --
@@ -7,13 +7,13 @@ with the run.  This package gives sightings a durable home:
 
 * :mod:`repro.store.silver` -- the single validation gate between raw
   records and stored sightings.
-* :mod:`repro.store.backend` -- :class:`StorageProtocol` with two
-  observationally equivalent implementations, :class:`MemoryBackend`
-  and :class:`SqliteBackend`.
+* :mod:`repro.store.backend` -- :class:`SqliteBackend`, one SQLite
+  file (or ``":memory:"``) holding every tier.
 * :mod:`repro.store.sightings` -- :class:`SightingStore` and
-  :class:`RunWriter`: medallion-tier landing (bronze raw rows, silver
-  validated sightings, gold per-``(feed, domain)`` aggregates) that is
-  idempotent per run.
+  :class:`RunWriter`: medallion-tier landing of whole feed columns
+  (bronze record counts per status and reason, silver validated
+  sightings, gold per-``(feed, domain)`` aggregates derived in SQL)
+  that is idempotent per run.
 * :mod:`repro.store.query` -- the read-side answers behind
   ``python -m repro query``.
 
@@ -24,15 +24,12 @@ run prints byte-identical results to a store-less one.
 """
 
 from repro.store.backend import (
-    BronzeRow,
     BronzeSummary,
     FeedSummary,
     GoldRow,
-    MemoryBackend,
     RunRow,
     SilverRow,
     SqliteBackend,
-    StorageProtocol,
     StoreError,
     STORE_FORMAT,
     STORE_VERSION,
@@ -51,13 +48,11 @@ from repro.store.silver import (
 )
 
 __all__ = [
-    "BronzeRow",
     "BronzeSummary",
     "EMPTY_LANDING",
     "FeedSummary",
     "GoldRow",
     "LandingStats",
-    "MemoryBackend",
     "RunRow",
     "RunWriter",
     "STATUS_OK",
@@ -67,7 +62,6 @@ __all__ = [
     "SightingStore",
     "SilverRow",
     "SqliteBackend",
-    "StorageProtocol",
     "StoreError",
     "run_key_for",
     "validate_sighting",

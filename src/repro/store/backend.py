@@ -1,51 +1,49 @@
-"""Storage backends for the sighting store.
+"""The SQLite backend of the sighting store.
 
-One :class:`StorageProtocol`, two implementations with identical
-observable behavior:
+:class:`SqliteBackend` keeps every tier in one SQLite file (or in
+``":memory:"`` for tests and one-shot runs).  Writes accumulate inside
+one transaction and become durable at :meth:`SqliteBackend.flush`, so
+a crash mid-landing leaves the previous committed state intact.
 
-* :class:`MemoryBackend` -- plain dicts and lists; tests, ephemeral
-  runs, and anything that should leave no file behind.
-* :class:`SqliteBackend` -- one durable SQLite file; batched writes
-  inside explicit transactions, so a crash mid-landing leaves the
-  previous committed state intact.
-
-The protocol is deliberately dumb: append rows, merge gold aggregates,
-answer ordered queries.  All tier logic (validation, natural-key
-bookkeeping, idempotent re-landing) lives one layer up in
-:class:`~repro.store.sightings.SightingStore`, so backends can be
-swapped -- or a server backend added -- without touching semantics.
-Every query is ordered by explicit deterministic keys (never
-insertion-hash order), which is what makes the two backends
-observationally equivalent and keeps query output reproducible.
+The backend is column-shaped: silver takes a feed's aligned
+``(domain, time)`` columns in one ``executemany``, bronze takes one
+counted row per ``(landing call, status, reason)``, and gold is
+derived in SQL from the silver rows a landing appended.  Tier logic
+(validation, per-run cursors, idempotent re-landing) lives one layer
+up in :class:`~repro.store.sightings.RunWriter`.  Every query is
+ordered by explicit deterministic keys (never insertion-hash order),
+which keeps query output reproducible.
 """
 
 from __future__ import annotations
 
 import os
 import sqlite3
+from itertools import compress, repeat
 from typing import (
     Dict,
+    Iterable,
     List,
     NamedTuple,
     Optional,
-    Protocol,
-    Sequence,
     Tuple,
 )
 
 #: Store format marker and version, kept in the meta tier of every
-#: backend; readers fail loudly on foreign or future files.
+#: store; readers fail loudly on foreign or future files.
 STORE_FORMAT = "repro-sighting-store"
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 #: Column tuples of every store table, in CREATE TABLE order.  This is
 #: the schema contract between the SQL below, the row NamedTuples
-#: above, and files written by earlier runs: reprolint's REP012 checks
+#: after it, and files written by earlier runs: reprolint's REP012 checks
 #: every SQL string in this module against these declarations.
 STORE_SCHEMA_COLUMNS: Dict[str, Tuple[str, ...]] = {
     "meta": ("key", "value"),
     "runs": ("run_id", "run_key", "seed", "config_fingerprint", "command"),
-    "bronze": ("seq", "run_id", "feed", "payload", "status", "reason"),
+    "bronze": (
+        "seq", "run_id", "feed", "payload", "status", "reason", "n_records"
+    ),
     "silver": ("seq", "run_id", "feed", "domain", "time"),
     "gold": ("feed", "domain", "n_sightings", "first_seen", "last_seen"),
 }
@@ -54,7 +52,7 @@ STORE_SCHEMA_COLUMNS: Dict[str, Tuple[str, ...]] = {
 #: recomputes this from the declarations above; editing a column tuple
 #: without bumping the version (and re-pinning) fails the lint.
 #: Regenerate with ``python -m repro lint --store-schema-pin``.
-STORE_SCHEMA_PIN = "v1:01f0b9393f24"
+STORE_SCHEMA_PIN = "v2:d7323bf20673"
 
 
 class StoreError(ValueError):
@@ -69,17 +67,6 @@ class RunRow(NamedTuple):
     seed: int
     config_fingerprint: str
     command: str
-
-
-class BronzeRow(NamedTuple):
-    """One raw record exactly as received (kept even when rejected)."""
-
-    seq: int
-    run_id: int
-    feed: str
-    payload: str
-    status: str
-    reason: str
 
 
 class SilverRow(NamedTuple):
@@ -113,255 +100,13 @@ class FeedSummary(NamedTuple):
 
 
 class BronzeSummary(NamedTuple):
-    """Count of bronze rows per (feed, status, reason)."""
+    """Records counted in bronze per (feed, status, reason)."""
 
     feed: str
     status: str
     reason: str
     count: int
 
-
-class StorageProtocol(Protocol):
-    """What a sighting-store backend must provide.
-
-    Write methods are batch-shaped (one call per landing batch);
-    read methods return rows in documented deterministic orders.
-    ``flush`` makes everything written so far durable; backends
-    without durability (memory) treat it as a no-op.
-    """
-
-    # -- writes --------------------------------------------------------
-
-    def begin_run(
-        self, run_key: str, seed: int, config_fingerprint: str, command: str
-    ) -> Tuple[int, bool]:
-        """Find or create the run for *run_key*; returns (id, created)."""
-        ...
-
-    def append_bronze(
-        self, run_id: int, rows: Sequence[Tuple[str, str, str, str]]
-    ) -> None:
-        """Append raw ``(feed, payload, status, reason)`` rows."""
-        ...
-
-    def append_silver(
-        self, run_id: int, rows: Sequence[Tuple[str, str, int]]
-    ) -> None:
-        """Append validated ``(feed, domain, time)`` sightings."""
-        ...
-
-    def merge_gold(
-        self, entries: Sequence[Tuple[str, str, int, int, int]]
-    ) -> None:
-        """Merge ``(feed, domain, n, first, last)`` aggregate deltas."""
-        ...
-
-    def flush(self) -> None:
-        """Commit everything appended so far."""
-        ...
-
-    def close(self) -> None:
-        """Flush and release any underlying resources."""
-        ...
-
-    # -- reads ---------------------------------------------------------
-
-    def runs(self) -> List[RunRow]:
-        """Every landed run, ordered by run id."""
-        ...
-
-    def run_by_key(self, run_key: str) -> Optional[RunRow]:
-        """The run landed under *run_key*, if any."""
-        ...
-
-    def bronze_counts(self, run_id: int) -> Dict[str, int]:
-        """Bronze rows per feed for one run (the landing cursors)."""
-        ...
-
-    def bronze_summary(self) -> List[BronzeSummary]:
-        """Counts per (feed, status, reason), ordered by that key."""
-        ...
-
-    def silver_rows(
-        self,
-        feed: Optional[str] = None,
-        since: Optional[int] = None,
-        limit: Optional[int] = None,
-    ) -> List[SilverRow]:
-        """Silver sightings in landing order, optionally filtered."""
-        ...
-
-    def gold_rows(self, feed: Optional[str] = None) -> List[GoldRow]:
-        """Gold aggregates ordered by (feed, domain)."""
-        ...
-
-    def first_seen(self, domain: str) -> List[GoldRow]:
-        """Which feeds saw *domain*, ordered by (first_seen, feed)."""
-        ...
-
-    def feed_summaries(self) -> List[FeedSummary]:
-        """Per-feed gold rollups, ordered by feed."""
-        ...
-
-
-# ----------------------------------------------------------------------
-# In-memory backend
-# ----------------------------------------------------------------------
-
-
-class MemoryBackend:
-    """Ephemeral backend: everything in plain Python containers."""
-
-    def __init__(self) -> None:
-        self._runs: Dict[str, RunRow] = {}
-        self._bronze: List[BronzeRow] = []
-        self._silver: List[SilverRow] = []
-        #: (feed, domain) -> [n, first, last]
-        self._gold: Dict[Tuple[str, str], List[int]] = {}
-
-    # -- writes --------------------------------------------------------
-
-    def begin_run(
-        self, run_key: str, seed: int, config_fingerprint: str, command: str
-    ) -> Tuple[int, bool]:
-        existing = self._runs.get(run_key)
-        if existing is not None:
-            return existing.run_id, False
-        row = RunRow(
-            run_id=len(self._runs) + 1,
-            run_key=run_key,
-            seed=seed,
-            config_fingerprint=config_fingerprint,
-            command=command,
-        )
-        self._runs[run_key] = row
-        return row.run_id, True
-
-    def append_bronze(
-        self, run_id: int, rows: Sequence[Tuple[str, str, str, str]]
-    ) -> None:
-        seq = len(self._bronze)
-        for offset, (feed, payload, status, reason) in enumerate(rows):
-            self._bronze.append(
-                BronzeRow(seq + offset + 1, run_id, feed, payload, status, reason)
-            )
-
-    def append_silver(
-        self, run_id: int, rows: Sequence[Tuple[str, str, int]]
-    ) -> None:
-        seq = len(self._silver)
-        for offset, (feed, domain, time) in enumerate(rows):
-            self._silver.append(
-                SilverRow(seq + offset + 1, run_id, feed, domain, time)
-            )
-
-    def merge_gold(
-        self, entries: Sequence[Tuple[str, str, int, int, int]]
-    ) -> None:
-        for feed, domain, n, first, last in entries:
-            cell = self._gold.get((feed, domain))
-            if cell is None:
-                self._gold[(feed, domain)] = [n, first, last]
-            else:
-                cell[0] += n
-                if first < cell[1]:
-                    cell[1] = first
-                if last > cell[2]:
-                    cell[2] = last
-
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-    # -- reads ---------------------------------------------------------
-
-    def runs(self) -> List[RunRow]:
-        return sorted(self._runs.values(), key=lambda r: r.run_id)
-
-    def run_by_key(self, run_key: str) -> Optional[RunRow]:
-        return self._runs.get(run_key)
-
-    def bronze_counts(self, run_id: int) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for row in self._bronze:
-            if row.run_id == run_id:
-                counts[row.feed] = counts.get(row.feed, 0) + 1
-        return {feed: counts[feed] for feed in sorted(counts)}
-
-    def bronze_summary(self) -> List[BronzeSummary]:
-        counts: Dict[Tuple[str, str, str], int] = {}
-        for row in self._bronze:
-            key = (row.feed, row.status, row.reason)
-            counts[key] = counts.get(key, 0) + 1
-        return [
-            BronzeSummary(feed, status, reason, counts[(feed, status, reason)])
-            for feed, status, reason in sorted(counts)
-        ]
-
-    def silver_rows(
-        self,
-        feed: Optional[str] = None,
-        since: Optional[int] = None,
-        limit: Optional[int] = None,
-    ) -> List[SilverRow]:
-        rows = [
-            row
-            for row in self._silver
-            if (feed is None or row.feed == feed)
-            and (since is None or row.time >= since)
-        ]
-        if limit is not None:
-            rows = rows[:limit]
-        return rows
-
-    def gold_rows(self, feed: Optional[str] = None) -> List[GoldRow]:
-        keys = [
-            key for key in sorted(self._gold) if feed is None or key[0] == feed
-        ]
-        return [
-            GoldRow(f, d, self._gold[(f, d)][0], self._gold[(f, d)][1],
-                    self._gold[(f, d)][2])
-            for f, d in keys
-        ]
-
-    def first_seen(self, domain: str) -> List[GoldRow]:
-        rows = [
-            GoldRow(f, d, cell[0], cell[1], cell[2])
-            for (f, d), cell in self._gold.items()
-            if d == domain
-        ]
-        return sorted(rows, key=lambda r: (r.first_seen, r.feed))
-
-    def feed_summaries(self) -> List[FeedSummary]:
-        per_feed: Dict[str, List[int]] = {}
-        for (feed, _domain), (n, first, last) in self._gold.items():
-            cell = per_feed.get(feed)
-            if cell is None:
-                per_feed[feed] = [n, 1, first, last]
-            else:
-                cell[0] += n
-                cell[1] += 1
-                if first < cell[2]:
-                    cell[2] = first
-                if last > cell[3]:
-                    cell[3] = last
-        return [
-            FeedSummary(feed, *per_feed[feed]) for feed in sorted(per_feed)
-        ]
-
-    def __repr__(self) -> str:
-        return (
-            f"MemoryBackend(runs={len(self._runs)}, "
-            f"bronze={len(self._bronze)}, silver={len(self._silver)}, "
-            f"gold={len(self._gold)})"
-        )
-
-
-# ----------------------------------------------------------------------
-# SQLite backend
-# ----------------------------------------------------------------------
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta(
@@ -379,9 +124,10 @@ CREATE TABLE IF NOT EXISTS bronze(
     seq INTEGER PRIMARY KEY,
     run_id INTEGER NOT NULL REFERENCES runs(run_id),
     feed TEXT NOT NULL,
-    payload TEXT NOT NULL,
+    payload TEXT,
     status TEXT NOT NULL,
-    reason TEXT NOT NULL
+    reason TEXT NOT NULL,
+    n_records INTEGER NOT NULL
 );
 CREATE TABLE IF NOT EXISTS silver(
     seq INTEGER PRIMARY KEY,
@@ -399,14 +145,17 @@ CREATE TABLE IF NOT EXISTS gold(
     PRIMARY KEY(feed, domain)
 );
 CREATE INDEX IF NOT EXISTS idx_bronze_run_feed ON bronze(run_id, feed);
-CREATE INDEX IF NOT EXISTS idx_silver_run_feed ON silver(run_id, feed, seq);
 CREATE INDEX IF NOT EXISTS idx_silver_feed ON silver(feed, seq);
 CREATE INDEX IF NOT EXISTS idx_gold_domain ON gold(domain);
 """
 
-_GOLD_UPSERT = """
+#: Folds the silver rows past a ``seq`` high-water mark into gold.  The
+#: ``WHERE`` clause also keeps SQLite from parsing ``ON CONFLICT`` as a
+#: join constraint of the ``SELECT``.
+_GOLD_FOLD = """
 INSERT INTO gold(feed, domain, n_sightings, first_seen, last_seen)
-VALUES(?, ?, ?, ?, ?)
+SELECT feed, domain, COUNT(*), MIN(time), MAX(time) FROM silver
+WHERE seq > ? GROUP BY feed, domain
 ON CONFLICT(feed, domain) DO UPDATE SET
     n_sightings = n_sightings + excluded.n_sightings,
     first_seen = min(first_seen, excluded.first_seen),
@@ -415,7 +164,7 @@ ON CONFLICT(feed, domain) DO UPDATE SET
 
 
 class SqliteBackend:
-    """Durable single-file backend.
+    """The sighting store's one backend: a SQLite file or ``:memory:``.
 
     Writes accumulate inside one SQLite transaction and become visible
     (and durable) at :meth:`flush`; a process killed mid-landing rolls
@@ -507,6 +256,7 @@ class SqliteBackend:
     def begin_run(
         self, run_key: str, seed: int, config_fingerprint: str, command: str
     ) -> Tuple[int, bool]:
+        """Find or create the run for *run_key*; returns (id, created)."""
         row = self._conn.execute(
             "SELECT run_id FROM runs WHERE run_key = ?", (run_key,)
         ).fetchone()
@@ -522,29 +272,50 @@ class SqliteBackend:
         return int(run_id), True
 
     def append_bronze(
-        self, run_id: int, rows: Sequence[Tuple[str, str, str, str]]
+        self,
+        run_id: int,
+        feed: str,
+        rows: Iterable[Tuple[Optional[str], str, str, int]],
     ) -> None:
+        """Append ``(payload, status, reason, n_records)`` rows.
+
+        A column landing writes one counted row per (status, reason)
+        with no payload; a raw record writes its payload with
+        ``n_records == 1``.
+        """
         self._conn.executemany(
-            "INSERT INTO bronze(run_id, feed, payload, status, reason) "
-            "VALUES(?, ?, ?, ?, ?)",
-            [(run_id, *row) for row in rows],
+            "INSERT INTO bronze(run_id, feed, payload, status, reason, "
+            "n_records) VALUES(?, ?, ?, ?, ?, ?)",
+            [(run_id, feed, *row) for row in rows],
         )
 
-    def append_silver(
-        self, run_id: int, rows: Sequence[Tuple[str, str, int]]
+    def append_sightings(
+        self,
+        run_id: int,
+        feed: str,
+        domains: Iterable[str],
+        times: Iterable[int],
+        mask: Optional[Iterable[bool]] = None,
     ) -> None:
+        """Append aligned sighting columns to silver and fold gold.
+
+        Rows where *mask* is false are left out.  The rows stream into
+        one ``executemany`` without an intermediate list, and gold
+        absorbs exactly the silver rows this call appended.
+        """
+        (high_water,) = self._conn.execute(
+            "SELECT COALESCE(MAX(seq), 0) FROM silver"
+        ).fetchone()
+        rows = zip(repeat(run_id), repeat(feed), domains, times)
         self._conn.executemany(
             "INSERT INTO silver(run_id, feed, domain, time) "
             "VALUES(?, ?, ?, ?)",
-            [(run_id, *row) for row in rows],
+            rows if mask is None else compress(rows, mask),
         )
-
-    def merge_gold(
-        self, entries: Sequence[Tuple[str, str, int, int, int]]
-    ) -> None:
-        self._conn.executemany(_GOLD_UPSERT, entries)
+        self._conn.execute(_GOLD_FOLD, (high_water,))
 
     def flush(self) -> None:
+        """Commit everything appended so far."""
         self._conn.commit()
 
     def close(self) -> None:
@@ -554,6 +325,7 @@ class SqliteBackend:
     # -- reads ---------------------------------------------------------
 
     def runs(self) -> List[RunRow]:
+        """Every landed run, ordered by run id."""
         rows = self._conn.execute(
             "SELECT run_id, run_key, seed, config_fingerprint, command "
             "FROM runs ORDER BY run_id"
@@ -561,6 +333,7 @@ class SqliteBackend:
         return [RunRow(int(r[0]), r[1], int(r[2]), r[3], r[4]) for r in rows]
 
     def run_by_key(self, run_key: str) -> Optional[RunRow]:
+        """The run landed under *run_key*, if any."""
         row = self._conn.execute(
             "SELECT run_id, run_key, seed, config_fingerprint, command "
             "FROM runs WHERE run_key = ?",
@@ -571,16 +344,18 @@ class SqliteBackend:
         return RunRow(int(row[0]), row[1], int(row[2]), row[3], row[4])
 
     def bronze_counts(self, run_id: int) -> Dict[str, int]:
+        """Records counted in bronze per feed for one run (the cursors)."""
         rows = self._conn.execute(
-            "SELECT feed, COUNT(*) FROM bronze WHERE run_id = ? "
+            "SELECT feed, SUM(n_records) FROM bronze WHERE run_id = ? "
             "GROUP BY feed ORDER BY feed",
             (run_id,),
         ).fetchall()
         return {r[0]: int(r[1]) for r in rows}
 
     def bronze_summary(self) -> List[BronzeSummary]:
+        """Records per (feed, status, reason), ordered by that key."""
         rows = self._conn.execute(
-            "SELECT feed, status, reason, COUNT(*) FROM bronze "
+            "SELECT feed, status, reason, SUM(n_records) FROM bronze "
             "GROUP BY feed, status, reason ORDER BY feed, status, reason"
         ).fetchall()
         return [BronzeSummary(r[0], r[1], r[2], int(r[3])) for r in rows]
@@ -591,6 +366,7 @@ class SqliteBackend:
         since: Optional[int] = None,
         limit: Optional[int] = None,
     ) -> List[SilverRow]:
+        """Silver sightings in landing order, optionally filtered."""
         clauses: List[str] = []
         params: List[object] = []
         if feed is not None:
@@ -615,6 +391,7 @@ class SqliteBackend:
         ]
 
     def gold_rows(self, feed: Optional[str] = None) -> List[GoldRow]:
+        """Gold aggregates ordered by (feed, domain)."""
         if feed is None:
             rows = self._conn.execute(
                 "SELECT feed, domain, n_sightings, first_seen, last_seen "
@@ -631,6 +408,7 @@ class SqliteBackend:
         ]
 
     def first_seen(self, domain: str) -> List[GoldRow]:
+        """Which feeds saw *domain*, ordered by (first_seen, feed)."""
         rows = self._conn.execute(
             "SELECT feed, domain, n_sightings, first_seen, last_seen "
             "FROM gold WHERE domain = ? ORDER BY first_seen, feed",
@@ -641,6 +419,7 @@ class SqliteBackend:
         ]
 
     def feed_summaries(self) -> List[FeedSummary]:
+        """Per-feed gold rollups, ordered by feed."""
         rows = self._conn.execute(
             "SELECT feed, SUM(n_sightings), COUNT(*), MIN(first_seen), "
             "MAX(last_seen) FROM gold GROUP BY feed ORDER BY feed"

@@ -5,7 +5,7 @@ first-seen lookups, per-feed gold rollups, and raw sighting listings.
 Everything here is read-only and deterministic -- rows come out of the
 backend in documented orders, and rendering uses the same aligned
 :class:`~repro.reporting.tables.Table` style as the paper tables, so
-query output is stable across backends and runs.
+query output is stable across runs.
 """
 
 from __future__ import annotations

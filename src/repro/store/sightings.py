@@ -1,23 +1,28 @@
-"""The sighting store: medallion-tier landing over a storage backend.
+"""The sighting store: medallion-tier landing over one SQLite backend.
 
 :class:`SightingStore` is the one write/read surface for durable feed
 sightings.  Data moves through three tiers (the FeedSpine pattern):
 
-* **bronze** -- every raw record exactly as received, one row each,
-  whether it validated or not.  This is provenance: drops are visible,
-  never silent.
+* **bronze** -- provenance counts: how many records each landing
+  offered, per ``(status, reason)``, whether they validated or not, so
+  drops are visible, never silent.  A collected feed has no raw form
+  beyond its ``(domain, time)`` columns, so a column landing writes one
+  counted row per ``(landing call, status, reason)`` with no payload;
+  a raw external record (:meth:`RunWriter.land_raw`) keeps its payload
+  in a row of its own.
 * **silver** -- records that passed :func:`~repro.store.silver
   .validate_sighting`, normalized to ``(feed, domain, time)`` rows in
   landing order.
 * **gold** -- per-``(feed, domain)`` natural-key aggregates
-  ``(n_sightings, first_seen, last_seen)``, merged commutatively
-  (sum / min / max), which is why batch landing, stream landing, and
+  ``(n_sightings, first_seen, last_seen)``, derived in SQL from the
+  silver rows each landing appended and merged commutatively (sum /
+  min / max), which is why batch landing, stream landing, and
   interleaved re-landing all converge to the same gold tier.
 
 Landing is **idempotent per run**: every run lands under a
 ``run_key`` (config fingerprint + seed), and a :class:`RunWriter`
 skips the per-feed prefix that a previous landing of the same run
-already wrote (bronze row counts are the cursors).  Running ``run
+already wrote (bronze record counts are the cursors).  Running ``run
 --store`` and then ``stream --store`` against the same file therefore
 lands each sighting exactly once, and a resumed stream completes the
 store instead of duplicating its prefix.
@@ -25,20 +30,26 @@ store instead of duplicating its prefix.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from array import array
+from collections import Counter
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.store.backend import (
     BronzeSummary,
     FeedSummary,
     GoldRow,
-    MemoryBackend,
     RunRow,
     SilverRow,
     SqliteBackend,
-    StorageProtocol,
 )
-from repro.store.silver import STATUS_OK, STATUS_REJECTED, validate_sighting
+from repro.store.silver import (
+    STATUS_OK,
+    STATUS_REJECTED,
+    validate_domain,
+    validate_sighting,
+    validate_time,
+)
 
 
 def run_key_for(config_fingerprint: str, seed: int) -> str:
@@ -49,9 +60,9 @@ def run_key_for(config_fingerprint: str, seed: int) -> str:
 class LandingStats(NamedTuple):
     """What one landing call did."""
 
-    bronze: int  #: raw rows appended this call
+    bronze: int  #: records counted into bronze this call
     silver: int  #: validated sightings appended this call
-    rejected: int  #: raw rows appended with a rejection reason
+    rejected: int  #: records counted into bronze with a rejection reason
     skipped: int  #: records skipped as an already-landed prefix
 
     def merge(self, other: "LandingStats") -> "LandingStats":
@@ -69,115 +80,98 @@ EMPTY_LANDING = LandingStats(0, 0, 0, 0)
 class RunWriter:
     """Lands one run's sightings into a store, idempotently.
 
-    Holds the run's identity plus per-feed cursors: how many bronze
-    rows this run has already landed per feed.  Incoming records for a
-    feed are matched positionally against that cursor -- deterministic
-    collection order makes "same index" mean "same record" -- so
-    re-landing a prefix is a cheap skip, never a duplicate.
+    Holds the run's identity plus per-feed cursors: how many records
+    this run has already counted into bronze per feed.  Deterministic
+    collection order makes a run position name the same record in
+    every landing of the run, so re-landing a prefix is a cheap skip,
+    never a duplicate.
     """
 
     def __init__(
-        self, backend: StorageProtocol, run_id: int, created: bool
+        self, backend: SqliteBackend, run_id: int, created: bool
     ) -> None:
         self._backend = backend
         self.run_id = run_id
         self.created = created
-        #: bronze rows already durable per feed (prefix to skip)
+        #: records already landed per feed (the prefix to skip)
         self._cursors: Dict[str, int] = backend.bronze_counts(run_id)
-        #: records offered per feed during this writer's lifetime
-        self._positions: Dict[str, int] = {}
+        #: raw records offered per feed through :meth:`land_raw`
+        self._raw_positions: Dict[str, int] = {}
 
     def cursor(self, feed: str) -> int:
-        """Bronze rows landed so far for *feed* (durable + this session)."""
+        """Records landed so far for *feed* (durable + this session)."""
         return self._cursors.get(feed, 0)
-
-    def set_position(self, feed: str, position: int) -> None:
-        """Declare where in the run's record sequence *feed* resumes.
-
-        A writer normally assumes callers offer each feed's records
-        from the start of the run (position 0) and skips the landed
-        prefix.  The stream engine lands each feed in slices instead;
-        it declares where each slice starts so position bookkeeping
-        stays aligned with the records actually offered.
-        """
-        if position < 0:
-            raise ValueError("position must be non-negative")
-        self._positions[feed] = position
 
     def land_sightings(
         self,
         feed: str,
-        sightings: Iterable[Tuple[str, int]],
-        payloads: Optional[Iterable[str]] = None,
+        domains: Sequence[str],
+        times: Sequence[int],
+        start: int = 0,
     ) -> LandingStats:
-        """Land ``(domain, time)`` sightings for one feed.
+        """Land one feed's aligned ``(domain, time)`` columns.
 
-        Every record gets a bronze row (with its validation status);
-        valid records additionally get a silver row and fold into the
-        gold aggregate.  Records inside the already-landed prefix are
-        skipped.  *payloads*, when given, supplies the bronze raw-form
-        string per record; otherwise a canonical ``"domain time"``
-        rendering is stored.
+        *start* is the run position of ``domains[0]``: a caller that
+        lands a feed in slices (the stream engine) passes where each
+        slice begins.  The already-landed prefix is skipped by
+        arithmetic, without touching the columns.  Each distinct
+        domain is validated once; times are checked per row only when
+        the column is not an ``array("q")``, which cannot hold a bad
+        one.  Accepted rows go to silver (and from there to gold) in
+        one pass; bronze gets one counted row per (status, reason).
         """
-        bronze_rows: List[Tuple[str, str, str, str]] = []
-        silver_rows: List[Tuple[str, str, int]] = []
-        gold: Dict[Tuple[str, str], List[int]] = {}
-        skipped = 0
-        rejected = 0
-
-        position = self._positions.get(feed, 0)
+        count = len(domains)
+        if len(times) != count:
+            raise ValueError("domain and time columns differ in length")
+        if start < 0:
+            raise ValueError("start must be non-negative")
         cursor = self._cursors.get(feed, 0)
-        payload_iter = iter(payloads) if payloads is not None else None
-        for domain, time in sightings:
-            payload = (
-                next(payload_iter)
-                if payload_iter is not None
-                else f"{domain} {time}"
+        if start > cursor:
+            raise ValueError(
+                f"{feed}: landing from record {start} would leave records "
+                f"{cursor}..{start - 1} unlanded"
             )
-            if position < cursor:
-                position += 1
-                skipped += 1
-                continue
-            position += 1
-            reason = validate_sighting(domain, time)
-            if reason is None:
-                bronze_rows.append((feed, payload, STATUS_OK, ""))
-                silver_rows.append((feed, domain, time))
-                cell = gold.get((feed, domain))
-                if cell is None:
-                    gold[(feed, domain)] = [1, time, time]
-                else:
-                    cell[0] += 1
-                    if time < cell[1]:
-                        cell[1] = time
-                    if time > cell[2]:
-                        cell[2] = time
-            else:
-                bronze_rows.append((feed, payload, STATUS_REJECTED, reason))
-                rejected += 1
+        skipped = min(cursor - start, count)
+        if skipped == count:
+            return self._note(LandingStats(0, 0, 0, skipped))
+        if skipped:
+            domains, times = domains[skipped:], times[skipped:]
 
-        self._positions[feed] = position
-        if bronze_rows:
-            self._backend.append_bronze(self.run_id, bronze_rows)
-            self._cursors[feed] = cursor + len(bronze_rows)
-        if silver_rows:
-            self._backend.append_silver(self.run_id, silver_rows)
-        if gold:
-            self._backend.merge_gold(
-                [
-                    (f, d, cell[0], cell[1], cell[2])
-                    for (f, d), cell in sorted(gold.items())
-                ]
+        bad_domains: Dict[str, str] = {}
+        for domain in set(domains):
+            reason = validate_domain(domain)
+            if reason is not None:
+                bad_domains[domain] = reason
+        reasons: Optional[List[Optional[str]]] = None
+        if not (isinstance(times, array) and times.typecode == "q"):
+            reasons = [
+                bad_domains.get(domain) or validate_time(time)
+                for domain, time in zip(domains, times)
+            ]
+        elif bad_domains:
+            reasons = list(map(bad_domains.get, domains))
+        rejections = Counter(reasons or ())
+        del rejections[None]
+        mask = [r is None for r in reasons] if rejections else None
+        rejected = sum(rejections.values())
+        accepted = count - skipped - rejected
+
+        rows: List[Tuple[Optional[str], str, str, int]] = []
+        if accepted:
+            rows.append((None, STATUS_OK, "", accepted))
+        rows += [
+            (None, STATUS_REJECTED, reason, rejections[reason])
+            for reason in sorted(rejections)
+        ]
+        self._backend.append_bronze(self.run_id, feed, rows)
+        if accepted:
+            self._backend.append_sightings(
+                self.run_id, feed, domains, times, mask
             )
-
-        stats = LandingStats(
-            bronze=len(bronze_rows),
-            silver=len(silver_rows),
-            rejected=rejected,
-            skipped=skipped,
+        self._cursors[feed] = start + count
+        return self._note(
+            LandingStats(count - skipped, accepted, rejected, skipped)
         )
-        self._note(stats)
-        return stats
 
     def land_raw(
         self,
@@ -189,21 +183,23 @@ class RunWriter:
     ) -> Tuple[Optional[str], bool]:
         """Land one raw external record (the ingest path).
 
-        *reject_reason* carries an upstream parse failure (the record
-        never yielded a sighting); otherwise the candidate ``(domain,
-        time)`` runs through silver validation here.  Returns
-        ``(final_reason, landed)`` where *landed* is False when the
-        record fell inside the already-landed prefix.  The reason is
-        computed either way, so callers keep identical accounting on
+        Raw records are offered one at a time, in order, from the
+        feed's first record; each keeps its payload in its own bronze
+        row.  *reject_reason* carries an upstream parse failure (the
+        record never yielded a sighting); otherwise the candidate
+        ``(domain, time)`` runs through silver validation here.
+        Returns ``(final_reason, landed)`` where *landed* is False when
+        the record fell inside the already-landed prefix.  The reason
+        is computed either way, so callers keep identical accounting on
         re-landing.
         """
         reason = reject_reason
         if reason is None:
             reason = validate_sighting(domain, time)
 
-        position = self._positions.get(feed, 0)
+        position = self._raw_positions.get(feed, 0)
         cursor = self._cursors.get(feed, 0)
-        self._positions[feed] = position + 1
+        self._raw_positions[feed] = position + 1
         if position < cursor:
             self._note(LandingStats(0, 0, 0, 1))
             return reason, False
@@ -211,16 +207,15 @@ class RunWriter:
         if reason is None:
             assert domain is not None and time is not None
             self._backend.append_bronze(
-                self.run_id, [(feed, payload, STATUS_OK, "")]
+                self.run_id, feed, [(payload, STATUS_OK, "", 1)]
             )
-            self._backend.append_silver(
-                self.run_id, [(feed, domain, time)]
+            self._backend.append_sightings(
+                self.run_id, feed, [domain], [time]
             )
-            self._backend.merge_gold([(feed, domain, 1, time, time)])
             stats = LandingStats(1, 1, 0, 0)
         else:
             self._backend.append_bronze(
-                self.run_id, [(feed, payload, STATUS_REJECTED, reason)]
+                self.run_id, feed, [(payload, STATUS_REJECTED, reason, 1)]
             )
             stats = LandingStats(1, 0, 1, 0)
         self._cursors[feed] = cursor + 1
@@ -232,7 +227,7 @@ class RunWriter:
         self._backend.flush()
 
     @staticmethod
-    def _note(stats: LandingStats) -> None:
+    def _note(stats: LandingStats) -> LandingStats:
         if stats.bronze:
             obs.add("store.bronze_rows", stats.bronze)
         if stats.silver:
@@ -241,12 +236,13 @@ class RunWriter:
             obs.add("store.rejected_rows", stats.rejected)
         if stats.skipped:
             obs.add("store.skipped_rows", stats.skipped)
+        return stats
 
 
 class SightingStore:
-    """Read/write facade over one storage backend."""
+    """Read/write facade over one SQLite backend."""
 
-    def __init__(self, backend: StorageProtocol) -> None:
+    def __init__(self, backend: SqliteBackend) -> None:
         self.backend = backend
 
     @classmethod
@@ -262,7 +258,7 @@ class SightingStore:
     @classmethod
     def in_memory(cls) -> "SightingStore":
         """An ephemeral store for tests and one-shot runs."""
-        return cls(MemoryBackend())
+        return cls(SqliteBackend(":memory:"))
 
     # -- writing -------------------------------------------------------
 

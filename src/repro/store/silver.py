@@ -38,23 +38,35 @@ STATUS_OK = "ok"
 STATUS_REJECTED = "rejected"
 
 
-def validate_sighting(domain: object, time: object) -> Optional[str]:
-    """Validate one candidate sighting; returns a reason or ``None``.
-
-    ``None`` means the sighting is silver-clean.  Otherwise the
-    returned string names the first failed check (one of the
-    ``REJECT_*`` constants above).
-    """
+def validate_domain(domain: object) -> Optional[str]:
+    """The domain half of :func:`validate_sighting`."""
     if not isinstance(domain, str) or not domain:
         return REJECT_EMPTY_DOMAIN
     # Domains are DNS labels: whitespace (newlines especially) would
     # corrupt the joined-string column blobs in feeds.base.PackedColumns
-    # and the JSONL interchange format.
-    if any(c.isspace() for c in domain) or not domain.isprintable():
+    # and the JSONL interchange format.  ``str.split()`` splits on
+    # exactly the characters ``str.isspace`` accepts, in one C pass.
+    if domain.split() != [domain] or not domain.isprintable():
         return REJECT_MALFORMED_DOMAIN
+    return None
+
+
+def validate_time(time: object) -> Optional[str]:
+    """The time half of :func:`validate_sighting`."""
     # bool is an int subclass; a True timestamp is a lie, not minute 1.
     if isinstance(time, bool) or not isinstance(time, int):
         return REJECT_BAD_TIME
     if not (INT64_MIN <= time <= INT64_MAX):
         return REJECT_TIME_RANGE
     return None
+
+
+def validate_sighting(domain: object, time: object) -> Optional[str]:
+    """Validate one candidate sighting; returns a reason or ``None``.
+
+    ``None`` means the sighting is silver-clean.  Otherwise the
+    returned string names the first failed check (one of the
+    ``REJECT_*`` constants above): the domain is checked before the
+    time.
+    """
+    return validate_domain(domain) or validate_time(time)

@@ -267,9 +267,11 @@ class StreamEngine:
             start, stop = self._landed[name], self._cuts[name]
             if stop <= start:
                 continue
-            self._writer.set_position(name, start)
             self._writer.land_sightings(
-                name, zip(block.domains[start:stop], block.times[start:stop])
+                name,
+                block.domains[start:stop],
+                block.times[start:stop],
+                start=start,
             )
             self._landed[name] = stop
         self._writer.finish()

@@ -9,13 +9,20 @@ store is a durable second witness, not a second implementation.
 
 from __future__ import annotations
 
+import os
+import sqlite3
+import subprocess
+import sys
+
 import pytest
 
 from repro import obs
 from repro.__main__ import main
 from repro.analysis.timing import campaign_start_times
 from repro.feeds import land_dataset
-from repro.store import SightingStore
+from repro.store import STORE_VERSION, SightingStore
+
+SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def _run(capsys, argv):
@@ -278,6 +285,76 @@ class TestTruncationWarning:
         assert "warning" not in capsys.readouterr().err
 
 
+def _store_with_meta(path, version, tables=()):
+    """A SQLite file carrying a sighting-store meta table.
+
+    *tables* are created with a single ``wrong`` column each.
+    """
+    conn = sqlite3.connect(path)
+    conn.execute(
+        "CREATE TABLE meta(key TEXT PRIMARY KEY, value TEXT NOT NULL)"
+    )
+    conn.execute("INSERT INTO meta VALUES('format', 'repro-sighting-store')")
+    conn.execute("INSERT INTO meta VALUES('version', ?)", (str(version),))
+    for table in tables:
+        conn.execute(f"CREATE TABLE {table}(wrong INTEGER)")
+    conn.commit()
+    conn.close()
+    return path
+
+
+def _garbage_file(tmp_path):
+    path = tmp_path / "garbage.bin"
+    path.write_bytes(b"\x00" * 128)
+    return str(path)
+
+
+def _foreign_file(tmp_path):
+    path = str(tmp_path / "foreign.sqlite")
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE users(id INTEGER PRIMARY KEY)")
+    conn.commit()
+    conn.close()
+    return path
+
+
+def _wrong_columns_file(tmp_path):
+    return _store_with_meta(
+        str(tmp_path / "drifted.sqlite"),
+        STORE_VERSION,
+        ("runs", "bronze", "silver", "gold"),
+    )
+
+
+def _v1_store(tmp_path):
+    """A store written by schema version 1 (payload per bronze row)."""
+    path = str(tmp_path / "v1.sqlite")
+    conn = sqlite3.connect(path)
+    conn.executescript(
+        """
+        CREATE TABLE meta(key TEXT PRIMARY KEY, value TEXT NOT NULL);
+        INSERT INTO meta VALUES('format', 'repro-sighting-store');
+        INSERT INTO meta VALUES('version', '1');
+        CREATE TABLE runs(run_id INTEGER PRIMARY KEY,
+            run_key TEXT NOT NULL UNIQUE, seed INTEGER NOT NULL,
+            config_fingerprint TEXT NOT NULL, command TEXT NOT NULL);
+        CREATE TABLE bronze(seq INTEGER PRIMARY KEY,
+            run_id INTEGER NOT NULL, feed TEXT NOT NULL,
+            payload TEXT NOT NULL, status TEXT NOT NULL,
+            reason TEXT NOT NULL);
+        CREATE TABLE silver(seq INTEGER PRIMARY KEY,
+            run_id INTEGER NOT NULL, feed TEXT NOT NULL,
+            domain TEXT NOT NULL, time INTEGER NOT NULL);
+        CREATE TABLE gold(feed TEXT NOT NULL, domain TEXT NOT NULL,
+            n_sightings INTEGER NOT NULL, first_seen INTEGER NOT NULL,
+            last_seen INTEGER NOT NULL, PRIMARY KEY(feed, domain));
+        """
+    )
+    conn.commit()
+    conn.close()
+    return path
+
+
 class TestQueryRejectsMalformedStores:
     """``query`` against anything that is not a sighting store: a clean
     two-line error and exit code 2, never a traceback -- whatever shape
@@ -294,41 +371,22 @@ class TestQueryRejectsMalformedStores:
         assert "error:" in err
 
     def test_garbage_file(self, tmp_path, capsys):
-        path = tmp_path / "garbage.bin"
-        path.write_bytes(b"\x00" * 128)
-        code, err = self._query(capsys, str(path))
+        code, err = self._query(capsys, _garbage_file(tmp_path))
         assert code == 2
         assert "not a sighting store" in err
 
     def test_foreign_sqlite_file(self, tmp_path, capsys):
-        import sqlite3
-
-        path = str(tmp_path / "foreign.sqlite")
-        conn = sqlite3.connect(path)
-        conn.execute("CREATE TABLE users(id INTEGER PRIMARY KEY)")
-        conn.commit()
-        conn.close()
-        code, err = self._query(capsys, path)
+        code, err = self._query(capsys, _foreign_file(tmp_path))
         assert code == 2
         assert "not a sighting store" in err
 
     def test_valid_meta_but_missing_data_tables(self, tmp_path, capsys):
-        """The regression this PR fixes: a file carrying a plausible
-        meta table but none of the data tables used to escape as a raw
-        ``sqlite3.OperationalError`` traceback (exit 1)."""
-        import sqlite3
-
-        path = str(tmp_path / "meta-only.sqlite")
-        conn = sqlite3.connect(path)
-        conn.execute(
-            "CREATE TABLE meta(key TEXT PRIMARY KEY, value TEXT NOT NULL)"
+        """A file carrying a plausible meta table but none of the data
+        tables used to escape as a raw ``sqlite3.OperationalError``
+        traceback (exit 1)."""
+        path = _store_with_meta(
+            str(tmp_path / "meta-only.sqlite"), STORE_VERSION
         )
-        conn.execute(
-            "INSERT INTO meta VALUES('format', 'repro-sighting-store')"
-        )
-        conn.execute("INSERT INTO meta VALUES('version', '1')")
-        conn.commit()
-        conn.close()
         for sub in (
             ("runs",),
             ("feed-stats",),
@@ -341,24 +399,14 @@ class TestQueryRejectsMalformedStores:
             assert "Traceback" not in err
 
     def test_wrong_columns(self, tmp_path, capsys):
-        import sqlite3
-
-        path = str(tmp_path / "drifted.sqlite")
-        conn = sqlite3.connect(path)
-        conn.execute(
-            "CREATE TABLE meta(key TEXT PRIMARY KEY, value TEXT NOT NULL)"
-        )
-        conn.execute(
-            "INSERT INTO meta VALUES('format', 'repro-sighting-store')"
-        )
-        conn.execute("INSERT INTO meta VALUES('version', '1')")
-        for table in ("runs", "bronze", "silver", "gold"):
-            conn.execute(f"CREATE TABLE {table}(wrong INTEGER)")
-        conn.commit()
-        conn.close()
-        code, err = self._query(capsys, path)
+        code, err = self._query(capsys, _wrong_columns_file(tmp_path))
         assert code == 2
         assert "not a sighting store" in err
+
+    def test_version_1_store(self, tmp_path, capsys):
+        code, err = self._query(capsys, _v1_store(tmp_path))
+        assert code == 2
+        assert "unsupported store version '1'" in err
 
     def test_good_store_still_opens(self, tmp_path, capsys):
         path = str(tmp_path / "good.sqlite")
@@ -366,6 +414,54 @@ class TestQueryRejectsMalformedStores:
         store.close()
         code, err = self._query(capsys, path)
         assert code == 0, err
+
+
+class TestStoreCommandsRejectMalformedStores:
+    """``run``, ``stream`` and ``serve`` refuse a bad ``--store`` file
+    the way ``query`` does: one ``error: <path>: <reason>`` line and
+    exit 2, never a traceback.  Each runs as its own process, so a
+    command that wrongly accepted the file (serve would start its
+    daemon) fails on the timeout instead of hanging the suite."""
+
+    COMMANDS = {
+        "run": ["--small", "-q", "run", "--no-cache"],
+        "stream": ["--small", "-q", "stream", "--no-cache"],
+        "serve": ["--small", "-q", "serve", "--port", "0", "--no-cache"],
+    }
+
+    def _invoke(self, command, path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [SRC_DIR, env.get("PYTHONPATH", "")]
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *self.COMMANDS[command],
+             "--store", path],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize(
+        "make,reason",
+        [
+            (_garbage_file, "not a sighting store"),
+            (_foreign_file, "not a sighting store"),
+            (_wrong_columns_file, "not a sighting store"),
+            (_v1_store, "unsupported store version '1'"),
+        ],
+        ids=["garbage", "foreign", "wrong-columns", "version-1"],
+    )
+    def test_bad_store_exits_2(self, command, make, reason, tmp_path):
+        path = make(tmp_path)
+        result = self._invoke(command, path)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith(f"error: {path}: "), result.stderr
+        assert reason in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
 
 
 class TestCrossThreadOpen:
