@@ -208,6 +208,8 @@ def _cmd_run(args) -> int:
                 print(pipeline.render_all())
         if store is not None:
             _progress(args, f"Sightings landed in {args.store}")
+    except StoreError as exc:
+        return _store_error(exc)
     finally:
         if pipeline is not None:
             pipeline.close()
@@ -226,6 +228,8 @@ def _cmd_stream(args) -> int:
     try:
         with obs.activate(tracer):
             status = _stream_body(args, store)
+    except StoreError as exc:
+        return _store_error(exc)
     finally:
         if store is not None:
             store.close()

@@ -6,30 +6,10 @@ import dataclasses
 import hashlib
 import pickle
 import threading
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro import obs
-from repro.analysis import (
-    FeedComparison,
-    coverage_table,
-    exclusive_scatter,
-    first_appearance_latencies,
-    duration_errors,
-    kendall_matrix,
-    last_appearance_gaps,
-    pairwise_overlap,
-    program_coverage_matrix,
-    affiliate_coverage_matrix,
-    purity_table,
-    revenue_coverage,
-    variation_distance_matrix,
-    volume_coverage,
-)
-from repro.analysis.coverage import CoverageRow, OverlapMatrix, ScatterPoint
-from repro.analysis.purity import PurityRow
-from repro.analysis.timing import BoxStats
-from repro.analysis.volume import VolumeCoverageRow
-from repro.analysis.affiliates import RevenueCoverageRow
+from repro.analysis import FeedComparison
 from repro.ecosystem import EcosystemConfig, build_world, paper_config
 from repro.ecosystem.world import World
 from repro.feeds import (
@@ -45,31 +25,19 @@ from repro.feeds.base import PackedColumns
 from repro.io.artifacts import ArtifactCache, artifact_key, fingerprint
 from repro.store.sightings import RunWriter, SightingStore, run_key_for
 from repro.parallel import PoolClosed, WorkerCrashed, WorkerPool, resolve_jobs
-from repro.reporting.charts import (
-    render_bars,
-    render_box_stats,
-    render_scatter,
-    render_stacked_bars,
+from repro.reporting.paper import (  # noqa: F401 -- re-exported
+    ARTIFACTS,
+    FIG9_FEEDS,
+    HONEYPOT_FEEDS,
+    PaperView,
 )
-from repro.reporting.matrix import render_overlap_matrix, render_value_matrix
-from repro.reporting.paper_tables import (
-    render_table1,
-    render_table2,
-    render_table3,
-    table1_data,
-)
-from repro.simtime import MINUTES_PER_DAY, MINUTES_PER_HOUR
-
-#: Feeds measured in Figure 9 (all except Bot, whose domains barely
-#: overlap the others).
-FIG9_FEEDS = ("Hyb", "Ac2", "Ac1", "mx3", "mx2", "mx1", "uribl", "dbl", "Hu")
-
-#: The live-mail (honeypot) feeds used for Figures 10-12.
-HONEYPOT_FEEDS = ("Ac2", "Ac1", "mx3", "mx2", "mx1")
 
 
-class PipelineResult:
+class PipelineResult(PaperView):
     """Everything a pipeline run produces: world, datasets, comparison.
+
+    As a :class:`~repro.reporting.paper.PaperView` it renders every
+    paper artifact over those datasets, in ``feed_order``.
 
     A cold run builds all three.  A ``pipeline-state`` cache hit builds
     only the datasets: the entry keeps the world as one pickled blob
@@ -95,8 +63,10 @@ class PipelineResult:
         comparison: Optional[FeedComparison],
         world_blob: Optional[bytes] = None,
         seed: int = 0,
+        feed_order: Sequence[str] = PAPER_FEED_ORDER,
     ):
         self.datasets = datasets
+        self.feed_order = list(feed_order)
         self._world = world
         self._comparison = comparison
         #: The pickled world of a deferred result, until it is read.
@@ -178,41 +148,20 @@ def _state_digest(world_blob: bytes, columns: Sequence[PackedColumns]) -> str:
     return digest.hexdigest()
 
 
-#: The artifacts of :meth:`PaperPipeline.render_all`, in paper order;
-#: each is rendered by the pipeline's ``render_<artifact>`` method.
-ARTIFACTS = tuple(
-    [f"table{i}" for i in (1, 2, 3)] + [f"figure{i}" for i in range(1, 13)]
-)
-
-
 @dataclasses.dataclass(eq=False)
 class _RunState(CollectState):
     """The state a pipeline's pool tasks run against.
 
-    Collect tasks read the world and collectors; render tasks read
+    Collect tasks read the world and collectors; render tasks render
     ``result``.  In-process this is the parent's own state, holding the
     result as soon as collection finishes.  Forked workers inherit a
     copy at fork time; when the fork preceded collection, a broadcast
     of :func:`_install_render_state` fills in their ``result``.
     """
 
-    config: EcosystemConfig
     seed: int
     feed_order: Sequence[str]
     result: Optional[PipelineResult] = None
-    _renderer: Optional["PaperPipeline"] = dataclasses.field(
-        default=None, init=False, repr=False
-    )
-
-    def renderer(self) -> "PaperPipeline":
-        """A pool-free pipeline over ``result`` (built once per process)."""
-        if self._renderer is None:
-            renderer = PaperPipeline(
-                self.config, seed=self.seed, feed_order=self.feed_order
-            )
-            renderer._result = self.result
-            self._renderer = renderer
-        return self._renderer
 
 
 def _install_render_state(
@@ -229,7 +178,9 @@ def _install_render_state(
     """
     comparison = FeedComparison(state.world, datasets, seed=state.seed)
     comparison.crawl_results()
-    state.result = PipelineResult(state.world, datasets, comparison)
+    state.result = PipelineResult(
+        state.world, datasets, comparison, feed_order=state.feed_order
+    )
     return True
 
 
@@ -237,11 +188,18 @@ def _render_task(state: _RunState, name: str) -> str:
     """Pool task: run one named renderer over the state's result."""
     if state.result is None:
         raise RuntimeError("render state was not installed in this worker")
-    return str(getattr(state.renderer(), name)())
+    # Looked up on PaperPipeline so code that wraps its renderers sees it.
+    return str(getattr(PaperPipeline, name)(state.result))
 
 
-class PaperPipeline:
-    """Builds the world once and serves every paper artifact from it."""
+class PaperPipeline(PaperView):
+    """Builds the world once and serves every paper artifact from it.
+
+    The artifacts themselves (``table1()`` ... ``render_figure12()``)
+    come from :class:`~repro.reporting.paper.PaperView` over the run's
+    datasets and comparison; :meth:`render_all` renders them all on the
+    run's pool, behind the render cache.
+    """
 
     def __init__(
         self,
@@ -333,7 +291,8 @@ class PaperPipeline:
         except (TypeError, ValueError):
             return None  # blob does not round-trip: treat as a miss
         return PipelineResult(
-            None, datasets, None, world_blob=world_blob, seed=self.seed
+            None, datasets, None, world_blob=world_blob, seed=self.seed,
+            feed_order=self.feed_order,
         )
 
     def _store_state(self, result: PipelineResult) -> None:
@@ -403,7 +362,9 @@ class PaperPipeline:
                     comparison = FeedComparison(
                         world, datasets, seed=self.seed
                     )
-                self._result = PipelineResult(world, datasets, comparison)
+                self._result = PipelineResult(
+                    world, datasets, comparison, feed_order=self.feed_order
+                )
                 pool.state.result = self._result
                 with obs.span("cache.store-state"):
                     self._store_state(self._result)
@@ -451,7 +412,6 @@ class PaperPipeline:
         return _RunState(
             world,
             list(collectors),
-            self.config,
             self.seed,
             list(self.feed_order),
             self._result,
@@ -492,6 +452,11 @@ class PaperPipeline:
         )
 
     @property
+    def datasets(self) -> Dict[str, FeedDataset]:
+        """The run's collected datasets (runs the pipeline on first use)."""
+        return self.run().datasets
+
+    @property
     def comparison(self) -> FeedComparison:
         """The (lazily built) analysis context."""
         return self.run().comparison
@@ -500,8 +465,8 @@ class PaperPipeline:
         """A fresh :class:`~repro.stream.StreamEngine` over this run's data.
 
         The engine slices the already-collected datasets by day;
-        draining it and snapshotting reproduces this pipeline's
-        Table 1/2/3 byte-for-byte.  Its run key is the store's, so its
+        draining it and snapshotting reproduces this pipeline's tables
+        and figures byte-for-byte.  Its run key is the store's, so its
         checkpoints only resume against this (config, seed).
         """
         from repro.stream.engine import StreamEngine
@@ -513,267 +478,6 @@ class PaperPipeline:
             seed=self.seed,
             feed_order=self.feed_order,
             run_key=run_key_for(fingerprint(self.config), self.seed),
-        )
-
-    def _present_feeds(self, wanted: Sequence[str]) -> List[str]:
-        present = set(self.run().datasets)
-        return [name for name in wanted if name in present]
-
-    # ------------------------------------------------------------------
-    # Table 1
-    # ------------------------------------------------------------------
-
-    def table1(self) -> Dict[str, Dict[str, int]]:
-        """Feed summary: total samples and unique registered domains."""
-        result = self.run()
-        return table1_data(
-            result.datasets, self._present_feeds(self.feed_order)
-        )
-
-    def render_table1(self) -> str:
-        """Table 1 in the paper's layout."""
-        result = self.run()
-        return render_table1(
-            result.datasets, self._present_feeds(self.feed_order)
-        )
-
-    # ------------------------------------------------------------------
-    # Table 2
-    # ------------------------------------------------------------------
-
-    def table2(self) -> List[PurityRow]:
-        """Purity indicators per feed."""
-        return purity_table(
-            self.comparison, self._present_feeds(self.feed_order)
-        )
-
-    def render_table2(self) -> str:
-        """Table 2 in the paper's layout."""
-        return render_table2(self.table2())
-
-    # ------------------------------------------------------------------
-    # Table 3
-    # ------------------------------------------------------------------
-
-    def table3(self) -> List[CoverageRow]:
-        """Total/exclusive domain counts per feed."""
-        return coverage_table(
-            self.comparison, self._present_feeds(self.feed_order)
-        )
-
-    def render_table3(self) -> str:
-        """Table 3 in the paper's layout."""
-        return render_table3(self.table3())
-
-    # ------------------------------------------------------------------
-    # Figures
-    # ------------------------------------------------------------------
-
-    def figure1(self, kind: str = "live") -> List[ScatterPoint]:
-        """Distinct vs. exclusive scatter data."""
-        return exclusive_scatter(
-            self.comparison, kind, self._present_feeds(self.feed_order)
-        )
-
-    def render_figure1(self) -> str:
-        """Both Figure 1 panels as scatter tables."""
-        left = render_scatter(
-            self.figure1("live"), title="Figure 1 (left): live domains"
-        )
-        right = render_scatter(
-            self.figure1("tagged"), title="Figure 1 (right): tagged domains"
-        )
-        return f"{left}\n\n{right}"
-
-    def figure2(self, kind: str = "live") -> OverlapMatrix:
-        """Pairwise feed intersection matrix."""
-        return pairwise_overlap(
-            self.comparison, kind, self._present_feeds(self.feed_order)
-        )
-
-    def render_figure2(self) -> str:
-        """Both Figure 2 matrices."""
-        left = render_overlap_matrix(
-            self.figure2("live"),
-            title="Figure 2 (left): pairwise intersection, live domains",
-        )
-        right = render_overlap_matrix(
-            self.figure2("tagged"),
-            title="Figure 2 (right): pairwise intersection, tagged domains",
-        )
-        return f"{left}\n\n{right}"
-
-    def figure3(self, kind: str = "live") -> List[VolumeCoverageRow]:
-        """Volume coverage rows."""
-        return volume_coverage(
-            self.comparison, kind, self._present_feeds(self.feed_order)
-        )
-
-    def render_figure3(self) -> str:
-        """Both Figure 3 panels as stacked bars."""
-        parts = []
-        for kind, label in (("live", "live"), ("tagged", "tagged")):
-            rows = self.figure3(kind)
-            parts.append(
-                render_stacked_bars(
-                    [
-                        (r.feed, r.covered_fraction, r.benign_fraction)
-                        for r in rows
-                    ],
-                    title=(
-                        f"Figure 3 ({label}): spam volume coverage "
-                        "(# covered, : Alexa/ODP)"
-                    ),
-                )
-            )
-        return "\n\n".join(parts)
-
-    def figure4(self) -> OverlapMatrix:
-        """Affiliate-program coverage matrix."""
-        return program_coverage_matrix(
-            self.comparison, self._present_feeds(self.feed_order)
-        )
-
-    def render_figure4(self) -> str:
-        """Figure 4 matrix."""
-        return render_overlap_matrix(
-            self.figure4(),
-            title="Figure 4: pairwise affiliate-program coverage",
-        )
-
-    def figure5(self) -> OverlapMatrix:
-        """RX-Promotion affiliate-id coverage matrix."""
-        return affiliate_coverage_matrix(
-            self.comparison, self._present_feeds(self.feed_order)
-        )
-
-    def render_figure5(self) -> str:
-        """Figure 5 matrix."""
-        return render_overlap_matrix(
-            self.figure5(),
-            title="Figure 5: pairwise RX-Promotion affiliate coverage",
-        )
-
-    def figure6(self) -> List[RevenueCoverageRow]:
-        """Revenue-weighted affiliate coverage."""
-        return revenue_coverage(
-            self.comparison, self._present_feeds(self.feed_order)
-        )
-
-    def render_figure6(self) -> str:
-        """Figure 6 bars (millions of USD)."""
-        rows = self.figure6()
-        return render_bars(
-            [(r.feed, r.covered_revenue / 1e6) for r in rows],
-            unit="M USD",
-            title=(
-                "Figure 6: RX-Promotion affiliate coverage weighted by "
-                "2010 revenue"
-            ),
-        )
-
-    def _volume_feeds(self) -> List[str]:
-        order = self._present_feeds(self.feed_order)
-        volume = set(self.comparison.volume_feed_names)
-        return [n for n in order if n in volume]
-
-    def figure7(self) -> Dict[str, Dict[str, float]]:
-        """Pairwise variation distance (volume feeds + Mail)."""
-        return variation_distance_matrix(
-            self.comparison, self._volume_feeds()
-        )
-
-    def render_figure7(self) -> str:
-        """Figure 7 matrix."""
-        matrix = self.figure7()
-        return render_value_matrix(
-            matrix,
-            title=(
-                "Figure 7: pairwise variational distance of tagged "
-                "domain frequency"
-            ),
-        )
-
-    def figure8(self) -> Dict[str, Dict[str, float]]:
-        """Pairwise Kendall tau-b (volume feeds + Mail)."""
-        return kendall_matrix(self.comparison, self._volume_feeds())
-
-    def render_figure8(self) -> str:
-        """Figure 8 matrix."""
-        return render_value_matrix(
-            self.figure8(),
-            title=(
-                "Figure 8: pairwise Kendall rank correlation of tagged "
-                "domain frequency"
-            ),
-        )
-
-    def figure9(self) -> Dict[str, BoxStats]:
-        """Relative first-appearance times, all feeds except Bot."""
-        feeds = self._present_feeds(FIG9_FEEDS)
-        return first_appearance_latencies(
-            self.comparison, feeds, reference_feeds=feeds
-        )
-
-    def render_figure9(self) -> str:
-        """Figure 9 box summaries (days)."""
-        return render_box_stats(
-            self.figure9(),
-            order=self._present_feeds(FIG9_FEEDS),
-            divisor=MINUTES_PER_DAY,
-            unit="days",
-            title=(
-                "Figure 9: relative first appearance time "
-                "(campaign start from all feeds except Bot)"
-            ),
-        )
-
-    def figure10(self) -> Dict[str, BoxStats]:
-        """First-appearance times relative to honeypot feeds only."""
-        feeds = self._present_feeds(HONEYPOT_FEEDS)
-        return first_appearance_latencies(self.comparison, feeds)
-
-    def render_figure10(self) -> str:
-        """Figure 10 box summaries (hours)."""
-        return render_box_stats(
-            self.figure10(),
-            order=self._present_feeds(HONEYPOT_FEEDS),
-            divisor=MINUTES_PER_HOUR,
-            unit="hours",
-            title=(
-                "Figure 10: relative first appearance time "
-                "(campaign start from MX/honey-account feeds only)"
-            ),
-        )
-
-    def figure11(self) -> Dict[str, BoxStats]:
-        """Last-appearance gap vs. aggregate campaign end."""
-        feeds = self._present_feeds(HONEYPOT_FEEDS)
-        return last_appearance_gaps(self.comparison, feeds)
-
-    def render_figure11(self) -> str:
-        """Figure 11 box summaries (hours)."""
-        return render_box_stats(
-            self.figure11(),
-            order=self._present_feeds(HONEYPOT_FEEDS),
-            divisor=MINUTES_PER_HOUR,
-            unit="hours",
-            title="Figure 11: last appearance vs. campaign end",
-        )
-
-    def figure12(self) -> Dict[str, BoxStats]:
-        """Duration-estimate error vs. aggregate campaign duration."""
-        feeds = self._present_feeds(HONEYPOT_FEEDS)
-        return duration_errors(self.comparison, feeds)
-
-    def render_figure12(self) -> str:
-        """Figure 12 box summaries (hours)."""
-        return render_box_stats(
-            self.figure12(),
-            order=self._present_feeds(HONEYPOT_FEEDS),
-            divisor=MINUTES_PER_HOUR,
-            unit="hours",
-            title="Figure 12: domain lifetime vs. campaign duration",
         )
 
     # ------------------------------------------------------------------

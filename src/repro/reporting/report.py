@@ -8,12 +8,18 @@ and a combined ``report.txt``.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, List
 
 from repro.io.csvexport import write_csv
+from repro.reporting.paper import ARTIFACTS
 
 if TYPE_CHECKING:  # avoid a circular import with the pipeline package
     from repro.pipeline.runner import PaperPipeline
+
+
+def _write_text(directory: str, name: str, text: str) -> None:
+    with open(os.path.join(directory, name), "w", encoding="utf-8") as f:
+        f.write(text + "\n")
 
 
 def write_report(pipeline: "PaperPipeline", directory: str) -> List[str]:
@@ -22,27 +28,13 @@ def write_report(pipeline: "PaperPipeline", directory: str) -> List[str]:
     Returns the list of files written (relative names, sorted).
     """
     os.makedirs(directory, exist_ok=True)
-    artifacts: Dict[str, str] = {
-        "table1.txt": pipeline.render_table1(),
-        "table2.txt": pipeline.render_table2(),
-        "table3.txt": pipeline.render_table3(),
-        "figure1.txt": pipeline.render_figure1(),
-        "figure2.txt": pipeline.render_figure2(),
-        "figure3.txt": pipeline.render_figure3(),
-        "figure4.txt": pipeline.render_figure4(),
-        "figure5.txt": pipeline.render_figure5(),
-        "figure6.txt": pipeline.render_figure6(),
-        "figure7.txt": pipeline.render_figure7(),
-        "figure8.txt": pipeline.render_figure8(),
-        "figure9.txt": pipeline.render_figure9(),
-        "figure10.txt": pipeline.render_figure10(),
-        "figure11.txt": pipeline.render_figure11(),
-        "figure12.txt": pipeline.render_figure12(),
-        "report.txt": pipeline.render_all(),
-    }
-    for name, text in artifacts.items():
-        with open(os.path.join(directory, name), "w", encoding="utf-8") as f:
-            f.write(text + "\n")
+    parts = []
+    for artifact in ARTIFACTS:
+        text = getattr(pipeline, f"render_{artifact}")()
+        _write_text(directory, f"{artifact}.txt", text)
+        parts.append(text)
+    # The same join as render_all(), without rendering anything twice.
+    _write_text(directory, "report.txt", "\n\n".join(parts))
 
     write_csv(pipeline.table2(), os.path.join(directory, "table2.csv"))
     write_csv(pipeline.table3(), os.path.join(directory, "table3.csv"))

@@ -17,12 +17,14 @@ which keeps query output reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sqlite3
 from itertools import compress, repeat
 from typing import (
     Dict,
     Iterable,
+    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -170,7 +172,9 @@ class SqliteBackend:
     (and durable) at :meth:`flush`; a process killed mid-landing rolls
     back to the previous committed state, so the file never holds a
     half-landed batch.  Opening an existing file validates the embedded
-    format marker and version.
+    format marker and version.  A write SQLite refuses -- the file is
+    locked by another connection past the busy timeout, or read-only --
+    raises :class:`StoreError`.
     """
 
     def __init__(self, path: str, cross_thread: bool = False) -> None:
@@ -253,6 +257,20 @@ class SqliteBackend:
 
     # -- writes --------------------------------------------------------
 
+    @contextlib.contextmanager
+    def _writing(self) -> Iterator[None]:
+        """Report a write SQLite refuses as a :class:`StoreError`.
+
+        The open transaction is rolled back first, so a later commit
+        (say, from :meth:`close`) cannot make a half-landed batch durable.
+        """
+        try:
+            yield
+        except sqlite3.OperationalError as exc:
+            with contextlib.suppress(sqlite3.Error):
+                self._conn.rollback()
+            raise StoreError(f"{self.path}: {exc}") from exc
+
     def begin_run(
         self, run_key: str, seed: int, config_fingerprint: str, command: str
     ) -> Tuple[int, bool]:
@@ -262,11 +280,12 @@ class SqliteBackend:
         ).fetchone()
         if row is not None:
             return int(row[0]), False
-        cursor = self._conn.execute(
-            "INSERT INTO runs(run_key, seed, config_fingerprint, command) "
-            "VALUES(?, ?, ?, ?)",
-            (run_key, seed, config_fingerprint, command),
-        )
+        with self._writing():
+            cursor = self._conn.execute(
+                "INSERT INTO runs(run_key, seed, config_fingerprint, command) "
+                "VALUES(?, ?, ?, ?)",
+                (run_key, seed, config_fingerprint, command),
+            )
         run_id = cursor.lastrowid
         assert run_id is not None
         return int(run_id), True
@@ -283,11 +302,12 @@ class SqliteBackend:
         with no payload; a raw record writes its payload with
         ``n_records == 1``.
         """
-        self._conn.executemany(
-            "INSERT INTO bronze(run_id, feed, payload, status, reason, "
-            "n_records) VALUES(?, ?, ?, ?, ?, ?)",
-            [(run_id, feed, *row) for row in rows],
-        )
+        with self._writing():
+            self._conn.executemany(
+                "INSERT INTO bronze(run_id, feed, payload, status, reason, "
+                "n_records) VALUES(?, ?, ?, ?, ?, ?)",
+                [(run_id, feed, *row) for row in rows],
+            )
 
     def append_sightings(
         self,
@@ -307,20 +327,24 @@ class SqliteBackend:
             "SELECT COALESCE(MAX(seq), 0) FROM silver"
         ).fetchone()
         rows = zip(repeat(run_id), repeat(feed), domains, times)
-        self._conn.executemany(
-            "INSERT INTO silver(run_id, feed, domain, time) "
-            "VALUES(?, ?, ?, ?)",
-            rows if mask is None else compress(rows, mask),
-        )
-        self._conn.execute(_GOLD_FOLD, (high_water,))
+        with self._writing():
+            self._conn.executemany(
+                "INSERT INTO silver(run_id, feed, domain, time) "
+                "VALUES(?, ?, ?, ?)",
+                rows if mask is None else compress(rows, mask),
+            )
+            self._conn.execute(_GOLD_FOLD, (high_water,))
 
     def flush(self) -> None:
         """Commit everything appended so far."""
-        self._conn.commit()
+        with self._writing():
+            self._conn.commit()
 
     def close(self) -> None:
-        self._conn.commit()
-        self._conn.close()
+        try:
+            self.flush()
+        finally:
+            self._conn.close()
 
     # -- reads ---------------------------------------------------------
 

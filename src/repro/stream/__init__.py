@@ -10,12 +10,12 @@ prefix of its columns found by one bisect over the time column:
   prefixes into a sighting store, and checkpoints its position as
   ``(run key, day)`` through :mod:`repro.io.checkpoint`.
 * :class:`StreamSnapshot` wraps the prefixes in ``FeedDataset`` views
-  and renders the paper's Table 1/2/3 ("as of day N") through the same
-  analyses and renderers as the batch path.
+  and is a :class:`~repro.reporting.paper.PaperView` over them: it
+  renders any of the paper's tables and figures "as of day N".
 
 A snapshot of the fully drained engine matches the batch
-:class:`~repro.pipeline.runner.PaperPipeline` byte-for-byte: both paths
-feed identical datasets into the same analyses and renderers.
+:class:`~repro.pipeline.runner.PaperPipeline` byte-for-byte: both are
+views of identical datasets through the same ``PaperView`` methods.
 """
 
 from repro.stream.engine import (

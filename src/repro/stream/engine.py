@@ -7,10 +7,12 @@ feed's prefix of records strictly before D's start boundary -- one
 holds one prefix length per feed; moving it to any day (forward or
 back) is a bisect per feed.  A :class:`StreamSnapshot` wraps the
 prefixes in ``FeedDataset.from_block`` views (no copy of the columns
-beyond the prefix slice) and hands them to the same
+beyond the prefix slice) and is a
+:class:`~repro.reporting.paper.PaperView` over them: the same
 :class:`FeedComparison` analyses and renderers the batch
-:class:`~repro.pipeline.runner.PaperPipeline` uses, so a drained
-snapshot is the batch output, byte for byte.
+:class:`~repro.pipeline.runner.PaperPipeline` uses, so any snapshot
+renders every table and figure as of its day, and a drained snapshot is
+the batch output, byte for byte.
 
 The sources are deterministic functions of ``(config, seed)``, so a
 checkpoint is just the run key and the day: resuming rebuilds the
@@ -26,7 +28,6 @@ from typing import (
     Any,
     Dict,
     Iterator,
-    List,
     Mapping,
     Optional,
     Sequence,
@@ -35,17 +36,7 @@ from typing import (
 
 from repro import obs
 from repro.analysis.context import FeedComparison
-from repro.analysis.coverage import (
-    CoverageRow,
-    OverlapMatrix,
-    ScatterPoint,
-    coverage_table,
-    exclusive_counts,
-    exclusive_scatter,
-    pairwise_overlap,
-)
-from repro.analysis.purity import PurityRow, purity_table
-from repro.analysis.volume import VolumeCoverageRow, volume_coverage
+from repro.analysis.coverage import exclusive_counts
 from repro.ecosystem import EcosystemConfig
 from repro.ecosystem.world import World
 from repro.feeds import (
@@ -59,12 +50,7 @@ from repro.io.checkpoint import (
     write_checkpoint,
 )
 from repro.io.columns import ColumnBlock
-from repro.reporting.paper_tables import (
-    render_table1,
-    render_table2,
-    render_table3,
-    table1_data,
-)
+from repro.reporting.paper import PaperView
 from repro.simtime import MINUTES_PER_DAY, SimTime
 from repro.store.sightings import RunWriter, SightingStore, run_key_for
 
@@ -76,19 +62,19 @@ CHECKPOINT_KIND = "stream-engine"
 
 
 @dataclasses.dataclass
-class StreamSnapshot:
+class StreamSnapshot(PaperView):
     """Frozen as-of-now analysis over each feed's consumed prefix.
 
-    ``feeds`` holds one dataset per feed over the prefix
-    (feeds with no records yet hold an empty one).  The heavy artifacts
-    (purity, coverage, overlap, volume) are computed lazily through a
-    :class:`FeedComparison` over those datasets, so taking a snapshot is
-    cheap and analyzing it is decoupled from the engine's position.
+    ``datasets`` holds one dataset per feed over the prefix (feeds with
+    no records yet hold an empty one).  Every table and figure of the
+    :class:`~repro.reporting.paper.PaperView` is computed lazily through
+    a :class:`FeedComparison` over those datasets, so taking a snapshot
+    is cheap and analyzing it is decoupled from the engine's position.
     """
 
     world: World
     seed: int
-    feeds: Mapping[str, FeedDataset]
+    datasets: Mapping[str, FeedDataset]
     feed_order: Sequence[str]
     records_processed: int
     as_of: Optional[SimTime]
@@ -108,50 +94,20 @@ class StreamSnapshot:
         """The (lazily built) analysis context over the prefix datasets."""
         if self._comparison is None:
             self._comparison = FeedComparison(
-                self.world, dict(self.feeds), seed=self.seed
+                self.world, dict(self.datasets), seed=self.seed
             )
         return self._comparison
 
-    def _present(self, wanted: Optional[Sequence[str]] = None) -> List[str]:
-        wanted = self.feed_order if wanted is None else wanted
-        return [name for name in wanted if name in self.feeds]
-
     def domain_spread(self) -> Tuple[int, int]:
         """(distinct domains across all feeds, domains seen by one feed)."""
-        sets = {name: ds.unique_domains() for name, ds in self.feeds.items()}
+        sets = {
+            name: ds.unique_domains() for name, ds in self.datasets.items()
+        }
         singles = exclusive_counts(sets)
         return (
             len(set().union(*sets.values())),
             sum(singles[name] for name in sets),
         )
-
-    # -- Table/figure data, mirroring PaperPipeline ---------------------
-
-    def table1(self) -> Dict[str, Dict[str, int]]:
-        """Feed summary: total samples and unique domains so far."""
-        return table1_data(self.feeds, self._present())
-
-    def table2(self) -> List[PurityRow]:
-        """Purity indicators per feed, as of the consumed prefix."""
-        return purity_table(self.comparison, self._present())
-
-    def table3(self) -> List[CoverageRow]:
-        """Total/exclusive domain counts per feed."""
-        return coverage_table(self.comparison, self._present())
-
-    def figure1(self, kind: str = "live") -> List[ScatterPoint]:
-        """Distinct vs. exclusive scatter data."""
-        return exclusive_scatter(self.comparison, kind, self._present())
-
-    def figure2(self, kind: str = "live") -> OverlapMatrix:
-        """Pairwise feed intersection matrix."""
-        return pairwise_overlap(self.comparison, kind, self._present())
-
-    def figure3(self, kind: str = "live") -> List[VolumeCoverageRow]:
-        """Volume coverage rows."""
-        return volume_coverage(self.comparison, kind, self._present())
-
-    # -- Rendering ------------------------------------------------------
 
     def header(self) -> str:
         """One-line provenance banner for as-of-day output."""
@@ -162,23 +118,9 @@ class StreamSnapshot:
             f"{self.records_processed:,} records processed"
         )
 
-    def render_table1(self) -> str:
-        """Table 1 in the paper's layout (batch-identical when drained)."""
-        return render_table1(self.feeds, self._present())
-
-    def render_table2(self) -> str:
-        """Table 2 in the paper's layout."""
-        return render_table2(self.table2())
-
-    def render_table3(self) -> str:
-        """Table 3 in the paper's layout."""
-        return render_table3(self.table3())
-
     def render_tables(self) -> str:
         """All three tables, separated by blank lines."""
-        return "\n\n".join(
-            [self.render_table1(), self.render_table2(), self.render_table3()]
-        )
+        return self.render(("table1", "table2", "table3"))
 
 
 def _time_sorted(dataset: FeedDataset) -> ColumnBlock:
@@ -355,7 +297,7 @@ class StreamEngine:
     def snapshot(self) -> StreamSnapshot:
         """The analysis view over the current prefixes."""
         obs.add("stream.snapshots")
-        feeds: Dict[str, FeedDataset] = {}
+        datasets: Dict[str, FeedDataset] = {}
         for name, block in self._blocks.items():
             cut = self._cuts[name]
             if cut < len(block):
@@ -363,13 +305,13 @@ class StreamEngine:
                     block.domains[:cut], block.times[:cut], chronological=True
                 )
             ds = self.datasets[name]
-            feeds[name] = FeedDataset.from_block(
+            datasets[name] = FeedDataset.from_block(
                 ds.name, ds.feed_type, ds.has_volume, block
             )
         return StreamSnapshot(
             world=self.world,
             seed=self.seed,
-            feeds=feeds,
+            datasets=datasets,
             feed_order=self.feed_order,
             records_processed=self.records_processed,
             as_of=self.position,

@@ -63,7 +63,7 @@ class TestSmallWorldEquivalence:
         _, snapshot = _drained_snapshot(small_pipeline)
         all_unique = {
             name: stats.unique_domains()
-            for name, stats in snapshot.feeds.items()
+            for name, stats in snapshot.datasets.items()
         }
         union = set().union(*all_unique.values())
         singles = 0
@@ -75,7 +75,7 @@ class TestSmallWorldEquivalence:
             singles += len(mine - others)
         assert snapshot.domain_spread() == (len(union), singles)
         batch = small_pipeline.run().datasets
-        for name, stats in snapshot.feeds.items():
+        for name, stats in snapshot.datasets.items():
             assert stats.total_samples == batch[name].total_samples
             assert stats.n_unique == batch[name].n_unique
 
@@ -181,7 +181,7 @@ class TestWindowedSnapshots:
                     list(ds.last_seen().items()),
                     list(ds.domain_counts().items()),
                 )
-                for name, ds in snapshot.feeds.items()
+                for name, ds in snapshot.datasets.items()
             }
 
         engine.run()

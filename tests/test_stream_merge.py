@@ -73,7 +73,7 @@ class TestRecordStream:
             },
         )
         engine.advance_to_day(4)
-        assert list(engine.snapshot().feeds) == ["b", "a"]
+        assert list(engine.snapshot().datasets) == ["b", "a"]
 
     def test_until_time_is_exclusive(self, small_world):
         boundary = _at(small_world, 2)
@@ -94,7 +94,7 @@ class TestRecordStream:
         assert engine.records_processed == 1
         assert engine.position == boundary - 1
         assert not engine.exhausted
-        assert engine.snapshot().feeds["a"].unique_domains() == {"a.com"}
+        assert engine.snapshot().datasets["a"].unique_domains() == {"a.com"}
 
     def test_cursors_and_seek_roundtrip(self, small_world, tmp_path):
         feeds = _two_feeds(small_world)
@@ -163,7 +163,7 @@ class TestRecordStream:
         for source in (dataset, pickle.loads(pickle.dumps(dataset))):
             engine = _engine(small_world, {"x": source})
             engine.run()
-            prefix = engine.snapshot().feeds["x"]
+            prefix = engine.snapshot().datasets["x"]
             # A stable time sort: same-minute sightings keep record order.
             assert prefix.records == [
                 FeedRecord("c.com", 2),
@@ -191,7 +191,7 @@ class TestStreamState:
         engine = _engine(small_world, {"a": _feed("a", records)})
         for day in range(5):
             engine.advance_to_day(day)
-            prefix = engine.snapshot().feeds["a"]
+            prefix = engine.snapshot().datasets["a"]
             boundary = _at(small_world, day)
             expected = _feed("a", [r for r in records if r.time < boundary])
             assert prefix.total_samples == expected.total_samples
@@ -241,8 +241,8 @@ class TestStreamState:
         engine.run()
         snapshot = engine.snapshot()
         assert snapshot.domain_spread() == (1, 1)
-        assert snapshot.feeds["a"].total_samples == 3
-        assert snapshot.feeds["a"].n_unique == 1
+        assert snapshot.datasets["a"].total_samples == 3
+        assert snapshot.datasets["a"].n_unique == 1
 
     def test_unknown_feed_rejected(self, small_world):
         with pytest.raises(ValueError, match="registered under"):
@@ -268,7 +268,7 @@ class TestStreamState:
         assert after.as_of == before.as_of
         assert after.domain_spread() == before.domain_spread()
         for name in feeds:
-            mine, theirs = before.feeds[name], after.feeds[name]
+            mine, theirs = before.datasets[name], after.datasets[name]
             assert mine.unique_domains() == theirs.unique_domains()
             assert mine.first_seen() == theirs.first_seen()
             assert mine.last_seen() == theirs.last_seen()
