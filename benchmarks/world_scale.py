@@ -1,21 +1,21 @@
-"""Measure the sharded world build across scales and shard counts.
+"""Measure the world build and the serial scale summary across scales.
 
-Writes ``BENCH_world.json``: wall-clock seconds, peak RSS, and derived
-speedups for the ecosystem build at 1x / 10x / 100x the paper scale,
-serial vs. sharded.  Run it directly:
+Writes ``BENCH_world.json``: wall-clock seconds and peak RSS for the
+ecosystem build at 1x / 10x the paper scale, assembled into a
+:class:`~repro.ecosystem.world.World`, and for the unit-by-unit scale
+summary (:func:`~repro.ecosystem.summarize_world`) at 10x / 100x.
+Run it directly:
 
     PYTHONPATH=src python benchmarks/world_scale.py --out BENCH_world.json
 
 Every scenario runs in a **fresh subprocess** because ``ru_maxrss`` is a
 process-lifetime high-water mark: measuring two scenarios in one
 process would report the larger build's peak for both.  The 100x
-*monolithic* build is never run -- its row is extrapolated linearly
-from the measured 10x monolithic build (that extrapolation being
-optimistic for memory is exactly what the sharded path is for).
+assembled world is never built -- its row is extrapolated linearly
+from the measured 10x world.
 
-The host core count is embedded prominently (``available_cpus``): on a
-single-core container the parallel rows measure dispatch overhead, not
-speedup -- regenerate on a multi-core host for the headline numbers.
+The host core count is embedded (``available_cpus``) so every number
+names its host; every scenario runs in one process on one core.
 """
 
 from __future__ import annotations
@@ -29,28 +29,24 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
 
-#: (label, scale, shards, mode).  mode "world" assembles the full
-#: World object graph; mode "summary" folds packed units into the
-#: bounded-memory scale summary without materializing a world.
+#: (label, scale, mode).  mode "world" assembles the full World object
+#: graph in one heap ("monolithic"); mode "summary" folds units into the
+#: scale summary one at a time without materializing a world.
 SCENARIOS = [
-    ("1x-monolithic-world", 1.0, 1, "world"),
-    ("1x-sharded-summary", 1.0, 4, "summary"),
-    ("10x-monolithic-world", 10.0, 1, "world"),
-    ("10x-serial-summary", 10.0, 1, "summary"),
-    ("10x-sharded-summary", 10.0, 8, "summary"),
-    ("100x-sharded-summary", 100.0, 16, "summary"),
+    ("1x-monolithic-world", 1.0, "world"),
+    ("10x-monolithic-world", 10.0, "world"),
+    ("10x-serial-summary", 10.0, "summary"),
+    ("100x-serial-summary", 100.0, "summary"),
 ]
 
 _CHILD = r"""
 import json, resource, sys, time
 from repro.ecosystem import (
-    build_world, paper_config, scaled_config, summarize_world_sharded,
+    build_world, paper_config, scaled_config, summarize_world,
     world_fingerprint,
 )
 
-scale, shards, mode, seed = (
-    float(sys.argv[1]), int(sys.argv[2]), sys.argv[3], int(sys.argv[4])
-)
+scale, mode, seed = float(sys.argv[1]), sys.argv[2], int(sys.argv[3])
 config = paper_config()
 if scale != 1.0:
     config = scaled_config(config, scale)
@@ -63,9 +59,7 @@ if mode == "world":
         "fingerprint": world_fingerprint(world),
     }
 else:
-    summary = summarize_world_sharded(
-        config, seed=seed, shards=shards, jobs=shards
-    )
+    summary = summarize_world(config, seed=seed)
     payload = {
         "campaigns": summary.campaigns,
         "placements": summary.placements,
@@ -79,19 +73,18 @@ print(json.dumps(payload))
 """
 
 
-def run_scenario(label, scale, shards, mode, seed):
+def run_scenario(label, scale, mode, seed):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(scale), str(shards), mode,
-         str(seed)],
+        [sys.executable, "-c", _CHILD, str(scale), mode, str(seed)],
         capture_output=True,
         text=True,
         env=env,
         check=True,
     )
     result = json.loads(proc.stdout.splitlines()[-1])
-    result.update(label=label, scale=scale, shards=shards, mode=mode)
+    result.update(label=label, scale=scale, mode=mode)
     return result
 
 
@@ -109,9 +102,9 @@ def main(argv=None):
         s for s in SCENARIOS if not args.quick or s[1] == 1.0
     ]
     results = []
-    for label, scale, shards, mode in scenarios:
+    for label, scale, mode in scenarios:
         print(f"[world-scale] {label} ...", file=sys.stderr, flush=True)
-        results.append(run_scenario(label, scale, shards, mode, args.seed))
+        results.append(run_scenario(label, scale, mode, args.seed))
         row = results[-1]
         print(
             f"[world-scale] {label}: {row['wall_seconds']}s, "
@@ -121,31 +114,23 @@ def main(argv=None):
 
     by_label = {r["label"]: r for r in results}
     derived = {}
-    mono10 = by_label.get("10x-monolithic-world")
-    if mono10 is not None:
+    world10 = by_label.get("10x-monolithic-world")
+    if world10 is not None:
         # Never actually built: linear extrapolation of the measured
-        # 10x monolithic run, the baseline the sharded path displaces.
+        # 10x assembled world, the cost the summary avoids.
         derived["100x-monolithic-extrapolated"] = {
-            "wall_seconds": round(mono10["wall_seconds"] * 10, 1),
-            "peak_rss_kib": mono10["peak_rss_kib"] * 10,
+            "wall_seconds": round(world10["wall_seconds"] * 10, 1),
+            "peak_rss_kib": world10["peak_rss_kib"] * 10,
         }
-        sharded100 = by_label.get("100x-sharded-summary")
-        if sharded100 is not None:
-            derived["rss_ratio_100x_sharded_vs_extrapolated"] = round(
-                sharded100["peak_rss_kib"]
-                / (mono10["peak_rss_kib"] * 10),
+        summary100 = by_label.get("100x-serial-summary")
+        if summary100 is not None:
+            derived["rss_ratio_100x_summary_vs_extrapolated"] = round(
+                summary100["peak_rss_kib"]
+                / (world10["peak_rss_kib"] * 10),
                 3,
             )
-    serial10 = by_label.get("10x-serial-summary")
-    sharded10 = by_label.get("10x-sharded-summary")
-    if serial10 and sharded10:
-        derived["speedup_10x_sharded_vs_serial"] = round(
-            serial10["wall_seconds"] / sharded10["wall_seconds"], 2
-        )
 
     report = {
-        # Single most important caveat for reading any number below:
-        # on a 1-CPU host the sharded rows measure fork/IPC overhead.
         "available_cpus": os.cpu_count(),
         "seed": args.seed,
         "scenarios": results,

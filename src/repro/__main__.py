@@ -135,7 +135,6 @@ def _finish_observability(
             config_fingerprint=fingerprint(config),
             jobs=getattr(args, "jobs", None),
             scale=getattr(args, "scale", None),
-            shards=getattr(args, "shards", None),
         )
         write_manifest(trace_path, manifest)
         _progress(args, f"Run manifest written to {trace_path}")
@@ -182,7 +181,6 @@ def _build_pipeline(
         jobs=getattr(args, "jobs", None),
         cache=_artifact_cache(args),
         store=store,
-        shards=getattr(args, "shards", None),
     )
     _progress(args, "Building world and collecting feeds...")
     pipeline.run()
@@ -246,7 +244,6 @@ def _stream_body(args, store: Optional[SightingStore] = None) -> int:
         seed=args.seed,
         jobs=args.jobs,
         cache=_artifact_cache(args),
-        shards=getattr(args, "shards", None),
     )
 
     def save_checkpoint() -> bool:
@@ -519,7 +516,6 @@ def _cmd_serve(args) -> int:
     worlds = WorldCache(
         stats,
         jobs=args.jobs,
-        shards=args.shards,
         cache=_artifact_cache(args),
         store_path=args.store or None,
         max_worlds=args.max_worlds,
@@ -602,11 +598,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="multiply the spam-side world size (campaign counts, DGA "
              "and junk pools) by X; the scaled config gets its own "
              "cache fingerprint",
-    )
-    perf_parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="build the world in N parallel shards (default 1 = "
-             "serial); the world is byte-identical at any value",
     )
     perf_parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -828,10 +819,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--jobs", "-j", type=int, default=None, metavar="N",
         help="worker processes per resident world "
              "(default 1 = serial, 0 = all cores)",
-    )
-    serve_parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="build worlds in N parallel shards",
     )
     serve_parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",

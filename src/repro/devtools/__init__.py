@@ -5,8 +5,8 @@ stochastic draw and every floating-point accumulation in this codebase
 is deterministic.  ``reprolint`` enforces those invariants statically,
 as named, suppressible rules (REP001..REP012), so order-sensitivity
 bugs are caught at lint time instead of being rediscovered whenever a
-new execution path (streaming, sharding, ...) must match batch output
-byte-for-byte.
+new execution path (streaming, parallel workers, ...) must match batch
+output byte-for-byte.
 
 v2 is interprocedural: per-file summaries (:mod:`.summaries`) compose
 into a module/call graph (:mod:`.graph`) that powers the cross-function

@@ -178,9 +178,9 @@ class SpamNameGenerator(_BaseNameGenerator):
     A non-empty *salt* partitions the name space: the salt is embedded
     in every label behind a hyphen (word stock and glue contain none),
     followed only by optional digits, so labels from generators with
-    different salts can never be equal.  The sharded world build salts
-    every campaign's generator with its campaign id, which is what
-    makes shard-local name issuance globally collision-free without any
+    different salts can never be equal.  The world build salts every
+    campaign's generator with its campaign id, which is what makes
+    unit-local name issuance globally collision-free without any
     shared issued-name set.  Salted and unsalted generators consume
     identical RNG draw sequences.
     """

@@ -37,13 +37,11 @@ from repro.ecosystem.entities import (
 from repro.ecosystem.registry import Registry, RegistryEntry
 from repro.ecosystem.benign import BenignWorld
 from repro.ecosystem.builder import BuildContext, WorldBuilder, build_world
-from repro.ecosystem.shard import (
-    ShardPlan,
+from repro.ecosystem.plan import (
+    WorldPlan,
     WorldScaleSummary,
     build_plan,
-    build_world_sharded,
-    shard_ranges,
-    summarize_world_sharded,
+    summarize_world,
     world_fingerprint,
 )
 from repro.ecosystem.world import World
@@ -63,17 +61,15 @@ __all__ = [
     "GoodsCategory",
     "Registry",
     "RegistryEntry",
-    "ShardPlan",
     "World",
     "WorldBuilder",
+    "WorldPlan",
     "WorldScaleSummary",
     "build_plan",
     "build_world",
-    "build_world_sharded",
     "paper_config",
     "scaled_config",
-    "shard_ranges",
     "small_config",
-    "summarize_world_sharded",
+    "summarize_world",
     "world_fingerprint",
 ]

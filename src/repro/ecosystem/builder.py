@@ -13,7 +13,8 @@ qualitative result in the paper:
 * one Rustock-style DGA poisoning episode floods two feeds with
   unregistered gibberish.
 
-Construction is organized for sharding (see :mod:`repro.ecosystem.shard`):
+Construction runs over a deterministic unit plan (see
+:mod:`repro.ecosystem.plan`):
 
 * A cheap shared :class:`BuildContext` holds the entity populations
   (programs, affiliates, botnets, the benign web) plus precomputed
@@ -21,18 +22,17 @@ Construction is organized for sharding (see :mod:`repro.ecosystem.shard`):
 * Campaign **identities** -- which (program, affiliate, botnet) runs
   each campaign -- are drawn in one serial pre-pass
   (:func:`draw_identities`) from per-class ``campaigns.<class>.identity``
-  streams, giving the shard planner its (program, botnet) partition keys
+  streams, giving the planner its (program, botnet) partition keys
   without paying for campaign bodies.
 * Campaign **bodies** each draw from their own
   ``campaign.<class>.<index>`` stream, and the DGA / web-spam / junk
   pools are generated in fixed-size blocks with per-block streams
-  (``dga.<j>``, ``hyb.<j>``, ``junk.<j>``), so any contiguous grouping
-  of this work produces byte-identical output -- shard count is pure
-  execution width.
+  (``dga.<j>``, ``hyb.<j>``, ``junk.<j>``), so each unit's output
+  depends only on its own label, never on what was built before it.
 * Every storefront name generator is salted with a globally unique
   :func:`~repro.domains.names.salt_token`, which makes name issuance
   collision-free *by construction* instead of via a shared issued-name
-  set -- the property that lets shards run without coordination.
+  set -- the property that lets units build without coordination.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import math
 import random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro import obs
 from repro.domains import DgaNameGenerator, SpamNameGenerator
 from repro.domains.names import salt_token
 from repro.ecosystem.benign import BenignWorld, build_benign_world
@@ -129,10 +130,9 @@ class _Picker:
 class BuildContext:
     """Shared read-only state every build unit needs.
 
-    Built once in the parent process (cheap relative to campaign
-    bodies) and inherited copy-on-write by shard workers.  Nothing in
-    here is mutated during unit builds except worker-local RNG
-    bookkeeping inside :class:`SeedSequence`.
+    Built once per world (cheap relative to campaign bodies) and read
+    by every unit build.  Nothing in here is mutated during unit builds
+    except RNG bookkeeping inside :class:`SeedSequence`.
     """
 
     config: EcosystemConfig
@@ -157,7 +157,7 @@ class UnitResult:
 
     The registry / hosting / redirector-tag contributions are carried
     as flat lists so the merge step can fold them with commutative (or
-    canonically ordered) operations; see ``shard.merge_units``.
+    canonically ordered) operations; see ``plan.merge_units``.
     """
 
     kind: str
@@ -182,8 +182,8 @@ class WorldBuilder:
 
     Every stochastic decision draws from a labelled RNG stream derived
     from the root seed, so adding draws to one stage never perturbs the
-    others -- and so independently built shards of the campaign
-    population compose into the same world as a monolithic pass.
+    others, and each unit of the plan builds the same way wherever it
+    falls in the sequence.
     """
 
     def __init__(
@@ -371,21 +371,16 @@ class WorldBuilder:
     # ------------------------------------------------------------------
 
     def build(self) -> World:
-        """Run all stages serially and return the assembled world.
+        """Plan the world, build it unit by unit, merge in plan order."""
+        from repro.ecosystem.plan import build_plan, build_units, merge_units
 
-        This *is* the sharded build at shard count 1: the same plan,
-        the same per-unit streams, the same merge fold -- which is what
-        makes ``shards=1`` byte-identical to any other shard count.
-        """
-        from repro.ecosystem.shard import build_plan, build_unit, merge_units
-
-        ctx = self.context()
-        plan = build_plan(ctx)
-        units = (
-            build_unit(ctx, plan, index)
-            for index in range(len(plan.units))
-        )
-        return merge_units(ctx, plan, units)
+        with obs.span("world.build"):
+            with obs.span("world.context"):
+                ctx = self.context()
+            with obs.span("world.plan"):
+                plan = build_plan(ctx)
+            with obs.span("world.merge", units=len(plan.units)):
+                return merge_units(ctx, plan, build_units(ctx, plan))
 
 
 # ----------------------------------------------------------------------
@@ -394,7 +389,7 @@ class WorldBuilder:
 
 #: RNG stream label for each class's identity pre-pass.  The ``26``
 #: generation suffix versions the stream: restructuring the builder
-#: around shardable units re-partitioned draw order, and this label
+#: around planned units re-partitioned draw order, and this label
 #: re-rolls the identity assignment so the seed-2012 world keeps the
 #: qualitative shapes the paper reports (Hu covering every program,
 #: dbl among the tagged-volume leaders, mx2 nearest the mail baseline).
@@ -405,8 +400,8 @@ def draw_identities(ctx: BuildContext) -> List[Tuple[int, ...]]:
     """Assign every campaign its (program, affiliate, botnet) identity.
 
     One serial pass over per-class ``campaigns.<class>.identity``
-    streams, always run in the parent at plan time; the result gives
-    the shard planner its (program, botnet) partition keys.  Returns
+    streams, always run at plan time; the result gives the planner its
+    (program, botnet) partition keys.  Returns
     :data:`MEMBER_STRIDE`-tuples in campaign-id order.
     """
     members: List[Tuple[int, ...]] = []
@@ -693,7 +688,7 @@ def build_campaign_unit(
     the identity pre-pass.  Each campaign body draws only from its own
     ``campaign.<class>.<index>`` stream, so this function's output
     depends on nothing but ``(ctx, members)`` -- the unit can run in
-    any process, in any order, at any shard width.
+    any position of the plan.
     """
     result = UnitResult(kind="camp")
     hosting: Dict[str, HostingRecord] = {}
@@ -740,9 +735,9 @@ def build_dga_block(ctx: BuildContext, block: int, count: int) -> UnitResult:
 
     Block *block* draws its bursts from ``dga.<block>`` and its parked
     collision sliver from ``dga.<block>.collisions`` -- both fixed-size
-    streams, so the episode is identical however blocks are grouped
-    into shards.  Collision registration (Section 4.2.1: the Bot feed's
-    exclusive "live" domains) rides along in the block.
+    streams, so a block's names depend on its index alone.  Collision
+    registration (Section 4.2.1: the Bot feed's exclusive "live"
+    domains) rides along in the block.
     """
     dga_cfg = ctx.config.dga
     rng = ctx.seeds.rng(f"dga.{block}")
@@ -837,11 +832,11 @@ def register_benign(
 ) -> None:
     """Benign domains are long-registered and stay registered.
 
-    Runs at merge time, first, in the parent.  ``all_benign`` is a set
-    of strings, so the (domain -> date) pairing varies with the process
-    hash seed -- harmless, because every benign domain predates the
-    window by 200+ days either way, but it is why content fingerprints
-    exclude benign registrations.
+    Runs at merge time, first.  ``all_benign`` is a set of strings, so
+    the (domain -> date) pairing varies with the process hash seed --
+    harmless, because every benign domain predates the window by 200+
+    days either way, but it is why content fingerprints exclude benign
+    registrations.
     """
     rng = ctx.seeds.rng("benign-registration")
     for domain in ctx.benign.all_benign:

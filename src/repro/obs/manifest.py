@@ -31,7 +31,8 @@ MANIFEST_FORMAT = "repro-run-manifest"
 #: Manifest schema version; bump on incompatible layout changes.
 #: v2 added ``scale`` and ``shards`` (sharded world build).
 #: v3 added ``request`` (per-request manifests from the serve daemon).
-MANIFEST_VERSION = 3
+#: v4 dropped ``shards``: the world has one (unit-planned) build.
+MANIFEST_VERSION = 4
 
 #: Top-level manifest fields and a human-readable type description —
 #: the documentation twin of :func:`validate_manifest`.
@@ -44,7 +45,6 @@ MANIFEST_SCHEMA: Dict[str, str] = {
     "git": "str | null — `git describe --always --dirty` of the source",
     "jobs": "int | null — requested worker count (null = serial)",
     "scale": "number | null — world scale factor (null = paper scale)",
-    "shards": "int | null — world-build shard count (null = serial)",
     "request": "str | null — serve request descriptor (null = batch run)",
     "created_unix": "float — wall-clock write time (side channel only)",
     "spans": "list[Span] — the span tree (see Span payload fields)",
@@ -96,7 +96,6 @@ def build_manifest(
     config_fingerprint: str,
     jobs: Optional[int] = None,
     scale: Optional[float] = None,
-    shards: Optional[int] = None,
     request: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Freeze a finished run into a schema-valid manifest dict."""
@@ -109,7 +108,6 @@ def build_manifest(
         "git": git_describe(),
         "jobs": jobs,
         "scale": scale,
-        "shards": shards,
         "request": request,
         "created_unix": wall_now(),
         "spans": tracer.span_payloads(),
@@ -208,11 +206,6 @@ def validate_manifest(manifest: Any) -> None:
     scale = manifest["scale"]
     if scale is not None:
         _check_number(scale, "scale")
-    shards = manifest["shards"]
-    if shards is not None and (
-        isinstance(shards, bool) or not isinstance(shards, int)
-    ):
-        _fail("shards", "must be an integer or null")
     request = manifest["request"]
     if request is not None and not isinstance(request, str):
         _fail("request", "must be a string or null")

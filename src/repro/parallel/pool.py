@@ -1,7 +1,7 @@
 """The one executor: a width-aware worker pool.
 
 Every fan-out in the package -- the ten feed collectors, the fifteen
-renderers, the sharded world build, reprolint's per-file summaries --
+renderers, reprolint's per-file summaries --
 runs through :class:`WorkerPool`.  Width is pure execution width: it
 can change wall time, never bytes.
 
@@ -21,7 +21,7 @@ Tasks are ``fn(state, payload)``.  Results come back tagged with their
 submission index and are reduced in that order.  A result that crosses
 a process boundary is pickled, so result types that are costly to
 pickle define a compact reduction (a feed dataset travels as its packed
-columns, a shard as its packed units); in-process results are never
+columns); in-process results are never
 pickled.
 
 The per-task accounting is the same at every width: a
@@ -398,8 +398,8 @@ class WorkerPool:
 
         The consumer sees results for payload 0, then 1, then 2 -- out-
         of-order completions are buffered until their turn -- so a
-        downstream reduction can run incrementally (e.g. merging shard
-        blobs) without holding every result at once; at most
+        downstream reduction can run incrementally without holding
+        every result at once; at most
         ``width - 1`` results are ever buffered.  Counter deltas are
         folded at emission time, in index order.  Abandoning the
         iterator early closes a forked pool, since its tasks' replies

@@ -210,7 +210,6 @@ class PaperPipeline(PaperView):
         jobs: Optional[int] = None,
         cache: Optional[ArtifactCache] = None,
         store: Optional[SightingStore] = None,
-        shards: Optional[int] = None,
     ):
         self.config = config or paper_config()
         self.seed = seed
@@ -220,11 +219,6 @@ class PaperPipeline(PaperView):
         #: execution width: every artifact is byte-identical at any
         #: value (None/1 = serial, 0 = all cores).
         self.jobs = jobs
-        #: Shard count for the world build.  Like ``jobs``, pure
-        #: execution width: ``shards=1`` (or None) builds serially and
-        #: any other value produces a byte-identical world in parallel
-        #: shard workers.  Not part of any cache key for that reason.
-        self.shards = shards
         #: Optional content-addressed artifact cache.  Only runs with
         #: the standard feed suite are cached -- custom collector lists
         #: are not part of the cache key.
@@ -338,18 +332,7 @@ class PaperPipeline(PaperView):
             with obs.span("cache.load-state"):
                 self._result = self._load_cached_state()
             if self._result is None:
-                with obs.span("world.build", shards=self.shards or 1):
-                    if self.shards is not None and self.shards > 1:
-                        from repro.ecosystem.shard import build_world_sharded
-
-                        world = build_world_sharded(
-                            self.config,
-                            seed=self.seed,
-                            shards=self.shards,
-                            jobs=self.jobs,
-                        )
-                    else:
-                        world = build_world(self.config, seed=self.seed)
+                world = build_world(self.config, seed=self.seed)
                 collectors = (
                     self._collectors or standard_feed_suite(self.seed)
                 )

@@ -22,7 +22,9 @@ Endpoints (all GET):
 
 World-selecting endpoints share three query parameters: ``seed``
 (default from the CLI), ``small`` (0/1) and ``scale`` (float) -- the
-same knobs the batch CLI exposes, resolved to the same configs.
+same knobs the batch CLI exposes, resolved to the same configs.  Bad
+parameters are 400s; a world whose build cannot land in the daemon's
+``--store`` (e.g. a file another connection holds locked) is a 503.
 """
 
 from __future__ import annotations
@@ -200,6 +202,14 @@ class ServeApp:
         except BadRequest as exc:
             self.stats.add("serve.bad_requests")
             return Response.error(400, str(exc))
+        except StoreError as exc:
+            # A world build could not land its sightings, e.g. another
+            # connection held the store locked past SQLite's busy
+            # timeout.  The world was not published and its pool was
+            # reaped, so the next request builds it afresh.
+            # /v1/first-seen turns its own store errors into 400s.
+            self.stats.add("serve.unavailable")
+            return Response.error(503, str(exc))
 
     # -- endpoints -----------------------------------------------------
 

@@ -132,7 +132,6 @@ class WorldCache:
         self,
         stats: ServeStats,
         jobs: Optional[int] = None,
-        shards: Optional[int] = None,
         cache: Optional[ArtifactCache] = None,
         store_path: Optional[str] = None,
         max_worlds: int = 4,
@@ -141,7 +140,6 @@ class WorldCache:
             raise ValueError("the daemon must keep at least one world")
         self.stats = stats
         self.jobs = jobs
-        self.shards = shards
         self.cache = cache
         self.store_path = store_path
         self.max_worlds = max_worlds
@@ -224,7 +222,6 @@ class WorldCache:
                 jobs=self.jobs,
                 cache=self.cache,
                 store=store,
-                shards=self.shards,
             )
             try:
                 pipeline.run()

@@ -395,16 +395,14 @@ def build_stream_engine(
     feed_order: Sequence[str] = PAPER_FEED_ORDER,
     jobs: Optional[int] = None,
     cache: Optional["ArtifactCache"] = None,
-    shards: Optional[int] = None,
 ) -> StreamEngine:
     """Build the world, collect the feed suite, and wrap it in an engine.
 
     The datasets are deterministic functions of ``(config, seed)``,
     which is what makes checkpoints portable across processes: a
     resuming run rebuilds identical datasets and re-slices them.
-    ``jobs`` parallelizes collection, ``shards`` parallelizes the world
-    build itself, and ``cache`` reuses a previously built world +
-    dataset state; none of them changes a byte of the output.
+    ``jobs`` parallelizes collection and ``cache`` reuses a previously
+    built world + dataset state; neither changes a byte of the output.
     """
     # Imported lazily to keep the stream layer importable without the
     # pipeline layer.
@@ -415,6 +413,6 @@ def build_stream_engine(
     # for the engine's whole lifetime.
     with PaperPipeline(
         config, seed=seed, collectors=collectors, feed_order=feed_order,
-        jobs=jobs, cache=cache, shards=shards,
+        jobs=jobs, cache=cache,
     ) as pipeline:
         return pipeline.stream_engine()

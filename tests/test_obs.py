@@ -176,6 +176,9 @@ class TestManifest:
         assert manifest["version"] == MANIFEST_VERSION
         assert manifest["jobs"] == 2
         assert manifest_stage_names(manifest) == ["pipeline.run"]
+        # v4: the world has one build, so no shard count is recorded.
+        assert MANIFEST_VERSION == 4
+        assert "shards" not in manifest
 
     def test_roundtrip_through_disk(self, tmp_path):
         tracer = obs.Tracer()
@@ -199,6 +202,7 @@ class TestManifest:
             ({"metrics": {"counters": {}}}, "metrics"),
             ({"metrics": {"counters": {"c": "x"}, "gauges": {}}}, "c"),
             ({"extra_field": 1}, "unknown fields"),
+            ({"shards": None}, "unknown fields"),
         ],
     )
     def test_invalid_manifests_rejected(self, overrides, fragment):

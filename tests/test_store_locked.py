@@ -1,16 +1,23 @@
 """A sighting store locked by another connection is an error, not a crash.
 
 SQLite waits out its busy timeout and then refuses the write; the
-store reports that as a :class:`StoreError`, and ``run``/``stream
---store`` print ``error: <path>: <reason>`` and exit 2.
+store reports that as a :class:`StoreError`, ``run``/``stream
+--store`` print ``error: <path>: <reason>`` and exit 2, and ``serve
+--store`` answers 503 and keeps serving.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import re
+import signal
 import sqlite3
 import subprocess
 import sys
+import urllib.error
+import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -31,17 +38,29 @@ def locked_store(tmp_path):
     holder.close()
 
 
-@pytest.mark.parametrize("command", ["run", "stream"])
-def test_locked_store_exits_2(command, locked_store):
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([SRC_DIR, env.get("PYTHONPATH", "")])
+    return env
+
+
+def _get(url):
+    try:
+        with urllib.request.urlopen(url, timeout=120) as response:
+            return response.status, response.read()
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.read()
+
+
+@pytest.mark.parametrize("command", ["run", "stream"])
+def test_locked_store_exits_2(command, locked_store):
     result = subprocess.run(
         [sys.executable, "-m", "repro", "--small", "--seed", "11", "-q",
          command, "--no-cache", "--store", locked_store],
         capture_output=True,
         text=True,
         timeout=120,
-        env=env,
+        env=_env(),
     )
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith(f"error: {locked_store}: "), result.stderr
@@ -71,3 +90,64 @@ def test_refused_write_leaves_the_store_usable(tmp_path):
         writer.land_sightings("f", ["a.com"], [5])
         writer.finish()
         assert [row.domain for row in reopened.sightings()] == ["a.com"]
+
+
+def test_serve_answers_503_while_locked_then_recovers(tmp_path):
+    path = str(tmp_path / "locked.db")
+    SightingStore.open(path).close()
+    holder = sqlite3.connect(path, isolation_level=None)
+    holder.execute("BEGIN IMMEDIATE")
+    locked = True
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "--small", "--seed", "11", "-q",
+         "serve", "--no-cache", "--store", path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_env(),
+    )
+    try:
+        match = re.search(
+            r"listening on (http://[\d.]+:\d+)", proc.stderr.readline()
+        )
+        assert match
+        base = match.group(1)
+        # Concurrent identical requests coalesce onto one build; every
+        # one of them gets the leader's answer.
+        with ThreadPoolExecutor(3) as pool:
+            answers = list(
+                pool.map(lambda _: _get(base + "/v1/tables"), range(3))
+            )
+        for status, body in answers:
+            assert status == 503
+            assert json.loads(body) == {
+                "error": f"{path}: database is locked"
+            }
+        status, body = _get(base + "/v1/stats")
+        stats = json.loads(body)
+        assert stats["worlds"] == []
+        assert "serve.worlds_built" not in stats["metrics"]["counters"]
+
+        holder.execute("ROLLBACK")
+        locked = False
+        status, served = _get(base + "/v1/tables")
+        assert status == 200
+        batch = subprocess.run(
+            [sys.executable, "-m", "repro", "--small", "--seed", "11",
+             "-q", "run", "--no-cache"],
+            capture_output=True, text=True, timeout=120, env=_env(),
+            check=True,
+        )
+        assert served.decode("utf-8") == batch.stdout
+
+        proc.send_signal(signal.SIGTERM)
+        _, stderr = proc.communicate(timeout=60)
+    finally:
+        if locked:
+            holder.execute("ROLLBACK")
+        holder.close()
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, stderr
+    assert "Traceback" not in stderr
