@@ -51,21 +51,11 @@ from repro.analysis.filtering import (
     evaluate_all_filters,
     evaluate_filter,
 )
-from repro.analysis.fusion import (
-    FusedInterval,
-    FusionEvaluation,
-    evaluate_fusion,
-    fuse_timelines,
-)
 
 __all__ = [
     "BoxStats",
     "FeedScore",
     "FilterReport",
-    "FusedInterval",
-    "FusionEvaluation",
-    "evaluate_fusion",
-    "fuse_timelines",
     "Question",
     "diverse_portfolio",
     "evaluate_all_filters",

@@ -137,7 +137,7 @@ DEFAULT_RULES: Dict[str, RuleInfo] = {
             "REP009",
             "no shared-state writes reachable from a parallel task",
             "Functions dispatched through a parallel.WorkerPool "
-            "(run_batch, run_stream, broadcast) run in forked workers: "
+            "(run_batch, broadcast) run in forked workers: "
             "writes to globals, closed-over objects, or module-level "
             "caches land in a copy-on-write child and silently "
             "vanish -- or, under a future threaded "

@@ -15,9 +15,8 @@ method and lambda recording
 * whether the function returns an unordered collection,
 * ``sum()`` calls whose iterable is another function's return value,
 * and every parallel dispatch with its task expression: a worker-pool
-  submission (``pool.run_batch(fn, ...)``, ``pool.run_stream(fn, ...)``
-  or ``pool.broadcast(fn, ...)``), where the single callable fans out
-  to forked workers.
+  submission (``pool.run_batch(fn, ...)`` or ``pool.broadcast(fn,
+  ...)``), where the single callable fans out to forked workers.
 
 The summaries are plain frozen dataclasses of strings and ints: they
 pickle cleanly into the artifact cache and compare structurally, which
@@ -73,10 +72,10 @@ MUTATING_METHODS = frozenset(
 )
 
 #: The parallel fan-out boundary.  Worker-pool dispatch methods --
-#: ``pool.run_batch(fn, payloads)``, ``pool.run_stream(fn, payloads)``
-#: and ``pool.broadcast(fn, payload)`` -- run their first argument in
-#: forked workers, so the submitted callable is a fan-out root.
-POOL_DISPATCH_METHODS = frozenset({"run_batch", "run_stream", "broadcast"})
+#: ``pool.run_batch(fn, payloads)`` and ``pool.broadcast(fn, payload)``
+#: -- run their first argument in forked workers, so the submitted
+#: callable is a fan-out root.
+POOL_DISPATCH_METHODS = frozenset({"run_batch", "broadcast"})
 
 #: SQL statements worth summarizing for the store-schema rule.
 _SQL_RE = re.compile(
@@ -162,7 +161,7 @@ class TaskRef:
 
 @dataclasses.dataclass(frozen=True)
 class FanoutSite:
-    """One ``pool.run_batch/run_stream/broadcast(fn, ...)`` site."""
+    """One ``pool.run_batch/broadcast(fn, ...)`` site."""
 
     line: int
     col: int
@@ -782,7 +781,7 @@ class _ScopeAnalyzer(ast.NodeVisitor):
     # -- fan-out task extraction ----------------------------------------
 
     def _record_pool_dispatch(self, node: ast.Call) -> None:
-        """``pool.run_batch/run_stream/broadcast(fn, ...)``.
+        """``pool.run_batch/broadcast(fn, ...)``.
 
         The submitted callable runs in forked workers, so it is
         recorded as a :class:`FanoutSite` root; REP009/REP010 then walk

@@ -3,8 +3,11 @@
 Real deployments receive feeds as files and archive analysis outputs;
 this package provides the same affordances so the library can be used on
 externally-supplied feed data (one JSON record per sighting) rather than
-only on simulator output.  :mod:`repro.io.checkpoint` adds versioned,
-atomically-written checkpoint files for resumable streaming runs.
+only on simulator output.  :func:`read_feed_jsonl` is the one way in
+for outside sightings, and it admits only records that pass the
+store's silver gate (:mod:`repro.store.silver`).
+:mod:`repro.io.checkpoint` adds versioned, atomically-written
+checkpoint files for resumable streaming runs.
 """
 
 from repro.io.checkpoint import (
@@ -19,21 +22,11 @@ from repro.io.serialization import (
     write_feeds_dir,
 )
 from repro.io.csvexport import rows_to_csv, write_csv
-from repro.io.url_ingest import (
-    IngestStats,
-    dedup_within_window,
-    ingest_url_file,
-    ingest_url_lines,
-)
 
 __all__ = [
     "CheckpointError",
-    "IngestStats",
     "read_checkpoint",
     "write_checkpoint",
-    "dedup_within_window",
-    "ingest_url_file",
-    "ingest_url_lines",
     "read_feed_jsonl",
     "read_feeds_dir",
     "rows_to_csv",

@@ -15,36 +15,14 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterable, List
+from typing import Dict, List, Optional, Tuple
 
 from repro.feeds.base import FeedDataset, FeedRecord, FeedType
+from repro.store.silver import validate_sighting
 
 
 class FeedFormatError(ValueError):
     """Raised when a feed file does not match the expected format."""
-
-
-#: The time column packs as signed 64-bit (:data:`repro.io.columns
-#: .TIME_TYPECODE`).
-_TIME_MIN, _TIME_MAX = -(1 << 63), (1 << 63) - 1
-
-
-def _packable_record(domain: str, time: int) -> FeedRecord:
-    """A record the packed columns can carry, or ValueError.
-
-    Packed domains are newline-joined UTF-8 and times are int64
-    (:class:`repro.io.columns.PackedBlock`).  A record outside that
-    would read fine and fail only later, when the dataset crosses a
-    process or the artifact cache, so it is refused here.
-    """
-    if not domain:
-        raise ValueError("empty domain")
-    if "\n" in domain:
-        raise ValueError(f"newline in domain {domain!r}")
-    domain.encode("utf-8")  # UnicodeEncodeError on a lone surrogate
-    if not _TIME_MIN <= time <= _TIME_MAX:
-        raise ValueError(f"time {time} outside int64")
-    return FeedRecord(domain, time)
 
 
 def write_feed_jsonl(dataset: FeedDataset, path: str) -> None:
@@ -63,46 +41,74 @@ def write_feed_jsonl(dataset: FeedDataset, path: str) -> None:
 
 
 def read_feed_jsonl(path: str) -> FeedDataset:
-    """Read a feed dataset written by :func:`write_feed_jsonl`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        header_line = handle.readline()
-        if not header_line.strip():
-            raise FeedFormatError(f"{path}: missing header line")
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise FeedFormatError(f"{path}: bad header: {exc}") from exc
-        for key in ("feed", "type"):
-            if key not in header:
-                raise FeedFormatError(f"{path}: header missing {key!r}")
-        try:
-            feed_type = FeedType(header["type"])
-        except ValueError as exc:
-            raise FeedFormatError(
-                f"{path}: unknown feed type {header['type']!r}"
-            ) from exc
+    """Read a feed dataset written by :func:`write_feed_jsonl`.
 
-        records: List[FeedRecord] = []
-        for line_number, line in enumerate(handle, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                records.append(
-                    _packable_record(str(obj["d"]), int(obj["t"]))
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise FeedFormatError(
-                    f"{path}:{line_number}: bad record: {exc}"
-                ) from exc
-
+    Every record passes the store's silver gate
+    (:func:`~repro.store.silver.validate_sighting`) on its raw JSON
+    values, with no coercion: a record the store would refuse -- a
+    non-string or malformed domain, a non-integer, boolean or
+    out-of-int64 time -- fails here with its line and the silver
+    reason, before it can reach a comparison or the packed columns.
+    Any other malformed file, header or encoding included, raises
+    :class:`FeedFormatError` too.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            header = _read_header(path, handle.readline())
+            records: List[FeedRecord] = []
+            for line_number, line in enumerate(handle, start=2):
+                line = line.strip()
+                if line:
+                    records.append(_read_record(path, line_number, line))
+    except UnicodeDecodeError as exc:
+        raise FeedFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    name, feed_type, has_volume = header
     return FeedDataset(
-        name=str(header["feed"]),
-        feed_type=feed_type,
-        records=records,
-        has_volume=bool(header.get("has_volume", True)),
+        name=name, feed_type=feed_type, records=records, has_volume=has_volume
     )
+
+
+def _read_header(path: str, line: str) -> Tuple[str, FeedType, bool]:
+    """The ``(feed, type, has_volume)`` a header line declares."""
+    if not line.strip():
+        raise FeedFormatError(f"{path}: missing header line")
+    try:
+        header = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise FeedFormatError(f"{path}: bad header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FeedFormatError(f"{path}: header is not a JSON object")
+    for key in ("feed", "type"):
+        if key not in header:
+            raise FeedFormatError(f"{path}: header missing {key!r}")
+    name = header["feed"]
+    if not isinstance(name, str) or not name:
+        raise FeedFormatError(f"{path}: feed name must be a non-empty string")
+    try:
+        feed_type = FeedType(header["type"])
+    except ValueError as exc:
+        raise FeedFormatError(
+            f"{path}: unknown feed type {header['type']!r}"
+        ) from exc
+    has_volume = header.get("has_volume", True)
+    if not isinstance(has_volume, bool):
+        raise FeedFormatError(f"{path}: has_volume must be true or false")
+    return name, feed_type, has_volume
+
+
+def _read_record(path: str, line_number: int, line: str) -> FeedRecord:
+    """One record line, admitted only through the silver gate."""
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        reason: Optional[str] = str(exc)
+    else:
+        reason = "record is not a JSON object"
+        if isinstance(obj, dict):
+            reason = validate_sighting(obj.get("d"), obj.get("t"))
+            if reason is None:
+                return FeedRecord(obj["d"], obj["t"])
+    raise FeedFormatError(f"{path}:{line_number}: bad record: {reason}")
 
 
 def write_feeds_dir(datasets: Dict[str, FeedDataset], directory: str) -> None:

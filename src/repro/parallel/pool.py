@@ -34,9 +34,9 @@ Crash safety: submission and collection multiplex over the result
 pipes *and* the worker process sentinels, so a worker dying mid-task
 (OOM kill, ``os._exit``) raises :class:`WorkerCrashed` naming the lost
 worker and its task instead of hanging the parent.  A dispatch that
-ends early -- a task error, a broadcast error, an abandoned
-:meth:`~WorkerPool.run_stream` -- first drains or closes the pool, so
-no reply is ever left in flight for the next dispatch to pick up.
+ends early -- a task error, a broadcast error, an interrupt -- first
+drains or closes the pool, so no reply is ever left in flight for the
+next dispatch to pick up.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -380,59 +379,35 @@ class WorkerPool:
         self._check_open()
         if not payloads:
             return []
+        if labels is not None and len(labels) != len(payloads):
+            raise ValueError("labels must match payloads one-to-one")
         with obs.span(
             "parallel.fanout", tasks=len(payloads), width=self.width
         ):
-            return [
-                result for _, result in self.run_stream(fn, payloads, labels)
-            ]
-
-    def run_stream(
-        self,
-        fn: Callable[[Any, Any], Any],
-        payloads: Sequence[Any],
-        labels: Optional[Sequence[str]] = None,
-    ) -> "Iterator[Tuple[int, Any]]":
-        """Like :meth:`run_batch`, but yield ``(index, result)`` pairs as
-        they become available *in submission-index order*.
-
-        The consumer sees results for payload 0, then 1, then 2 -- out-
-        of-order completions are buffered until their turn -- so a
-        downstream reduction can run incrementally without holding
-        every result at once; at most
-        ``width - 1`` results are ever buffered.  Counter deltas are
-        folded at emission time, in index order.  Abandoning the
-        iterator early closes a forked pool, since its tasks' replies
-        would otherwise stay in flight.
-        """
-        self._check_open()
-        if labels is not None and len(labels) != len(payloads):
-            raise ValueError("labels must match payloads one-to-one")
-        if not payloads:
-            return
-        if self.forked:
-            yield from self._dispatch(fn, payloads, labels)
-            return
-        for index, payload in enumerate(payloads):
-            with obs.span(_task_label(labels, index), worker=0):
-                result = fn(self.state, payload)
-            yield index, result
-        obs.add("worker.0.tasks", len(payloads))
-        obs.add("fanout.tasks", len(payloads))
+            if self.forked:
+                return self._dispatch(fn, payloads, labels)
+            results: List[Any] = []
+            for index, payload in enumerate(payloads):
+                with obs.span(_task_label(labels, index), worker=0):
+                    results.append(fn(self.state, payload))
+            obs.add("worker.0.tasks", len(payloads))
+            obs.add("fanout.tasks", len(payloads))
+            return results
 
     def _dispatch(
         self,
         fn: Callable[[Any, Any], Any],
         payloads: Sequence[Any],
         labels: Optional[Sequence[str]],
-    ) -> "Iterator[Tuple[int, Any]]":
-        """The forked dispatch loop behind :meth:`run_stream`."""
+    ) -> List[Any]:
+        """The forked dispatch loop behind :meth:`run_batch`."""
         n = len(payloads)
         watch = Stopwatch()
         meta: List[Tuple[int, int, float]] = []
-        pending: Dict[int, Tuple[Any, Dict[str, Number]]] = {}
+        results: List[Any] = [None] * n
+        pending: Dict[int, Dict[str, Number]] = {}  # index -> deltas
         busy: Dict[int, int] = {}  # worker -> outstanding task index
-        next_task = next_emit = 0
+        next_task = next_fold = 0
 
         def submit(worker: int) -> None:
             nonlocal next_task
@@ -464,7 +439,8 @@ class WorkerPool:
                     if message[0] == "err":
                         raise message[2]
                     _, index, result, pid, elapsed, deltas = message
-                    pending[index] = (result, deltas)
+                    results[index] = result
+                    pending[index] = deltas
                     meta.append((index, pid, elapsed))
                     if next_task < n:
                         submit(worker)
@@ -476,17 +452,17 @@ class WorkerPool:
                                 worker, f"while running task {label!r}"
                             )
                     continue
-                while next_emit in pending:
-                    result, deltas = pending.pop(next_emit)
+                while next_fold in pending:
+                    deltas = pending.pop(next_fold)
                     for name in sorted(deltas):
                         obs.add(name, deltas[name])
-                    yield next_emit, result
-                    next_emit += 1
+                    next_fold += 1
         except BaseException as exc:
             self._settle(busy, exc)
             raise
         obs.add("fanout.tasks", n)
         _record_worker_stats(meta, labels, watch.elapsed())
+        return results
 
     def broadcast(self, fn: Callable[[Any, Any], Any], payload: Any) -> List[Any]:
         """Run ``fn(state, payload)`` once in *every* forked worker.
@@ -559,7 +535,7 @@ class WorkerPool:
 
         A task error waits out the tasks still running and discards
         their replies, so the pool stays usable.  Anything else -- an
-        interrupt, an abandoned stream, a failure while draining --
+        interrupt, a failure while draining --
         closes the pool rather than wait on tasks nobody will read.
         """
         if self._closed or not busy:

@@ -14,15 +14,12 @@ from repro.stats.distributions import (
     zipf_weights,
     zipf_sample,
 )
-from repro.stats.bootstrap import BootstrapInterval, bootstrap_fraction
 from repro.stats.kendall import kendall_tau_b
 from repro.stats.metrics import variation_distance
 from repro.stats.rng import SeedSequence, derive_rng
 
 __all__ = [
-    "BootstrapInterval",
     "EmpiricalDistribution",
-    "bootstrap_fraction",
     "SeedSequence",
     "bounded_pareto",
     "derive_rng",

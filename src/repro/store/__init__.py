@@ -1,12 +1,12 @@
 """Durable sighting store on one SQLite backend.
 
-The batch pipeline, the streaming engine, and the external-feed
-ingester all observe *sightings* -- ``(feed, domain, time)`` facts --
-but historically kept them only in process-local columns that died
-with the run.  This package gives sightings a durable home:
+The batch pipeline and the streaming engine both observe *sightings*
+-- ``(feed, domain, time)`` facts -- but historically kept them only
+in process-local columns that died with the run.  This package gives
+sightings a durable home:
 
 * :mod:`repro.store.silver` -- the single validation gate between raw
-  records and stored sightings.
+  records and stored sightings, which the JSONL feed reader runs too.
 * :mod:`repro.store.backend` -- :class:`SqliteBackend`, one SQLite
   file (or ``":memory:"``) holding every tier.
 * :mod:`repro.store.sightings` -- :class:`SightingStore` and

@@ -34,7 +34,7 @@ from typing import (
 #: Store format marker and version, kept in the meta tier of every
 #: store; readers fail loudly on foreign or future files.
 STORE_FORMAT = "repro-sighting-store"
-STORE_VERSION = 2
+STORE_VERSION = 3
 
 #: Column tuples of every store table, in CREATE TABLE order.  This is
 #: the schema contract between the SQL below, the row NamedTuples
@@ -43,9 +43,7 @@ STORE_VERSION = 2
 STORE_SCHEMA_COLUMNS: Dict[str, Tuple[str, ...]] = {
     "meta": ("key", "value"),
     "runs": ("run_id", "run_key", "seed", "config_fingerprint", "command"),
-    "bronze": (
-        "seq", "run_id", "feed", "payload", "status", "reason", "n_records"
-    ),
+    "bronze": ("seq", "run_id", "feed", "status", "reason", "n_records"),
     "silver": ("seq", "run_id", "feed", "domain", "time"),
     "gold": ("feed", "domain", "n_sightings", "first_seen", "last_seen"),
 }
@@ -54,7 +52,7 @@ STORE_SCHEMA_COLUMNS: Dict[str, Tuple[str, ...]] = {
 #: recomputes this from the declarations above; editing a column tuple
 #: without bumping the version (and re-pinning) fails the lint.
 #: Regenerate with ``python -m repro lint --store-schema-pin``.
-STORE_SCHEMA_PIN = "v2:d7323bf20673"
+STORE_SCHEMA_PIN = "v3:03cfac4a412f"
 
 
 class StoreError(ValueError):
@@ -126,7 +124,6 @@ CREATE TABLE IF NOT EXISTS bronze(
     seq INTEGER PRIMARY KEY,
     run_id INTEGER NOT NULL REFERENCES runs(run_id),
     feed TEXT NOT NULL,
-    payload TEXT,
     status TEXT NOT NULL,
     reason TEXT NOT NULL,
     n_records INTEGER NOT NULL
@@ -294,18 +291,13 @@ class SqliteBackend:
         self,
         run_id: int,
         feed: str,
-        rows: Iterable[Tuple[Optional[str], str, str, int]],
+        rows: Iterable[Tuple[str, str, int]],
     ) -> None:
-        """Append ``(payload, status, reason, n_records)`` rows.
-
-        A column landing writes one counted row per (status, reason)
-        with no payload; a raw record writes its payload with
-        ``n_records == 1``.
-        """
+        """Append counted ``(status, reason, n_records)`` rows."""
         with self._writing():
             self._conn.executemany(
-                "INSERT INTO bronze(run_id, feed, payload, status, reason, "
-                "n_records) VALUES(?, ?, ?, ?, ?, ?)",
+                "INSERT INTO bronze(run_id, feed, status, reason, n_records) "
+                "VALUES(?, ?, ?, ?, ?)",
                 [(run_id, feed, *row) for row in rows],
             )
 

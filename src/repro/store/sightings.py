@@ -5,14 +5,14 @@ sightings.  Data moves through three tiers (the FeedSpine pattern):
 
 * **bronze** -- provenance counts: how many records each landing
   offered, per ``(status, reason)``, whether they validated or not, so
-  drops are visible, never silent.  A collected feed has no raw form
-  beyond its ``(domain, time)`` columns, so a column landing writes one
-  counted row per ``(landing call, status, reason)`` with no payload;
-  a raw external record (:meth:`RunWriter.land_raw`) keeps its payload
-  in a row of its own.
-* **silver** -- records that passed :func:`~repro.store.silver
-  .validate_sighting`, normalized to ``(feed, domain, time)`` rows in
-  landing order.
+  drops are visible, never silent.  A feed reaches the store only as
+  aligned ``(domain, time)`` columns, so every landing writes one
+  counted row per ``(landing call, status, reason)``; there is no
+  per-record raw form to keep.
+* **silver** -- records that passed the silver gate
+  (:func:`~repro.store.silver.validate_domain` and
+  :func:`~repro.store.silver.validate_time`), normalized to
+  ``(feed, domain, time)`` rows in landing order.
 * **gold** -- per-``(feed, domain)`` natural-key aggregates
   ``(n_sightings, first_seen, last_seen)``, derived in SQL from the
   silver rows each landing appended and merged commutatively (sum /
@@ -47,7 +47,6 @@ from repro.store.silver import (
     STATUS_OK,
     STATUS_REJECTED,
     validate_domain,
-    validate_sighting,
     validate_time,
 )
 
@@ -95,8 +94,6 @@ class RunWriter:
         self.created = created
         #: records already landed per feed (the prefix to skip)
         self._cursors: Dict[str, int] = backend.bronze_counts(run_id)
-        #: raw records offered per feed through :meth:`land_raw`
-        self._raw_positions: Dict[str, int] = {}
 
     def cursor(self, feed: str) -> int:
         """Records landed so far for *feed* (durable + this session)."""
@@ -156,11 +153,11 @@ class RunWriter:
         rejected = sum(rejections.values())
         accepted = count - skipped - rejected
 
-        rows: List[Tuple[Optional[str], str, str, int]] = []
+        rows: List[Tuple[str, str, int]] = []
         if accepted:
-            rows.append((None, STATUS_OK, "", accepted))
+            rows.append((STATUS_OK, "", accepted))
         rows += [
-            (None, STATUS_REJECTED, reason, rejections[reason])
+            (STATUS_REJECTED, reason, rejections[reason])
             for reason in sorted(rejections)
         ]
         self._backend.append_bronze(self.run_id, feed, rows)
@@ -172,55 +169,6 @@ class RunWriter:
         return self._note(
             LandingStats(count - skipped, accepted, rejected, skipped)
         )
-
-    def land_raw(
-        self,
-        feed: str,
-        payload: str,
-        domain: Optional[str],
-        time: Optional[int],
-        reject_reason: Optional[str] = None,
-    ) -> Tuple[Optional[str], bool]:
-        """Land one raw external record (the ingest path).
-
-        Raw records are offered one at a time, in order, from the
-        feed's first record; each keeps its payload in its own bronze
-        row.  *reject_reason* carries an upstream parse failure (the
-        record never yielded a sighting); otherwise the candidate
-        ``(domain, time)`` runs through silver validation here.
-        Returns ``(final_reason, landed)`` where *landed* is False when
-        the record fell inside the already-landed prefix.  The reason
-        is computed either way, so callers keep identical accounting on
-        re-landing.
-        """
-        reason = reject_reason
-        if reason is None:
-            reason = validate_sighting(domain, time)
-
-        position = self._raw_positions.get(feed, 0)
-        cursor = self._cursors.get(feed, 0)
-        self._raw_positions[feed] = position + 1
-        if position < cursor:
-            self._note(LandingStats(0, 0, 0, 1))
-            return reason, False
-
-        if reason is None:
-            assert domain is not None and time is not None
-            self._backend.append_bronze(
-                self.run_id, feed, [(payload, STATUS_OK, "", 1)]
-            )
-            self._backend.append_sightings(
-                self.run_id, feed, [domain], [time]
-            )
-            stats = LandingStats(1, 1, 0, 0)
-        else:
-            self._backend.append_bronze(
-                self.run_id, feed, [(payload, STATUS_REJECTED, reason, 1)]
-            )
-            stats = LandingStats(1, 0, 1, 0)
-        self._cursors[feed] = cursor + 1
-        self._note(stats)
-        return reason, True
 
     def finish(self) -> None:
         """Commit everything landed through this writer."""

@@ -1,19 +1,20 @@
 """Silver-tier validation: the one gate between raw and stored sightings.
 
-Every sighting that enters a :class:`~repro.store.sightings.SightingStore`
--- whether it came from a simulated feed collector, a stream engine's
-as-of-day slice, or an externally ingested URL feed -- passes through
-:func:`validate_sighting` before it may join the silver tier.  The
-checks are *structural*, not semantic: they enforce exactly the
-invariants the rest of the system relies on (domains are
-newline-free DNS names so the packed column transport round-trips;
-times fit in a signed 64-bit integer so ``array("q")`` blobs and the
-SQLite ``INTEGER`` affinity hold them losslessly).
+Every sighting from outside the program -- a record read by
+:func:`repro.io.serialization.read_feed_jsonl` -- passes
+:func:`validate_sighting` on its raw JSON values, and every sighting a
+:class:`~repro.store.sightings.SightingStore` lands (collected feeds,
+a stream engine's as-of-day slices) passes :func:`validate_domain` and
+:func:`validate_time` before it may join the silver tier.  The checks
+are *structural*, not semantic: they enforce exactly the invariants
+the rest of the system relies on (domains are newline-free, printable
+DNS names so the packed column transport round-trips; times are real
+integers that fit in a signed 64-bit integer so ``array("q")`` blobs
+and the SQLite ``INTEGER`` affinity hold them losslessly).
 
-Keeping this in one module is what lets the external-ingest path
-(:mod:`repro.io.url_ingest`) and the store agree byte-for-byte on what
-counts as a drop: both call the same function and report the same
-reason strings.
+Keeping this in one module is what lets the feed reader and the store
+agree on what counts as a bad sighting: both call the same functions
+and report the same reason strings.
 """
 
 from __future__ import annotations

@@ -92,22 +92,80 @@ class TestJsonlErrors:
             read_feed_jsonl(str(path))
 
     @pytest.mark.parametrize(
-        "record",
+        "record, reason",
         [
-            '{"d": "", "t": 5}',
-            '{"d": "a.com\\nb.com", "t": 5}',
-            '{"d": "a.com", "t": 9223372036854775808}',
-            '{"d": "\\ud800.com", "t": 5}',
+            ('{"d": "", "t": 5}', "empty_domain"),
+            ('{"d": "a.com\\nb.com", "t": 5}', "malformed_domain"),
+            ('{"d": "a.com", "t": 9223372036854775808}', "time_out_of_range"),
+            ('{"d": "a.com", "t": -9223372036854775809}',
+             "time_out_of_range"),
+            ('{"d": "\\ud800.com", "t": 5}', "malformed_domain"),
+            ('{"d": "a.com", "t": NaN}', "bad_time"),
+            ('{"d": "a.com", "t": Infinity}', "bad_time"),
+            ('{"d": "a.com", "t": -Infinity}', "bad_time"),
+            ('{"d": "a.com", "t": true}', "bad_time"),
+            ('{"d": "a.com", "t": false}', "bad_time"),
+            ('{"d": "a.com", "t": "12"}', "bad_time"),
+            ('{"d": "a.com", "t": 1.9}', "bad_time"),
+            ('{"d": "a.com"}', "bad_time"),
+            ('{"d": "a.com", "t": null}', "bad_time"),
+            ('{"d": "a.com", "t": [5]}', "bad_time"),
+            ('{"d": "a.com", "t": {"v": 5}}', "bad_time"),
+            ('{"d": 5, "t": 5}', "empty_domain"),
+            ('{"d": "a .com", "t": 5}', "malformed_domain"),
+            ('{"d": 5, "t": true}', "empty_domain"),
+            ('{"d": "ALSO NOT A DOMAIN", "t": "12"}', "malformed_domain"),
+            ('["a.com", 5]', "record is not a JSON object"),
         ],
         ids=["empty-domain", "newline-in-domain", "time-past-int64",
-             "lone-surrogate"],
+             "time-before-int64", "lone-surrogate", "nan-time",
+             "infinity-time", "minus-infinity-time", "true-time",
+             "false-time", "string-time", "float-time", "missing-time",
+             "null-time", "list-time", "object-time",
+             "non-string-domain", "inner-whitespace-domain",
+             "probe-number-domain-bool-time", "probe-spaced-string-time",
+             "non-object-record"],
     )
-    def test_unpackable_record_rejected(self, tmp_path, record):
-        # Every dataset is packed when it crosses a process or the
-        # artifact cache; a record the packed columns cannot carry
-        # must fail here, with its line, not at the first pickle.
+    def test_unpackable_record_rejected(self, tmp_path, record, reason):
+        # A record is admitted only through the store's silver gate, on
+        # its raw JSON values: nothing is coerced, and a record the
+        # store or the packed columns would refuse fails here with its
+        # line and the silver reason, not at the first pickle.
         path = tmp_path / "f.jsonl"
         path.write_text('{"feed": "x", "type": "botnet"}\n' + record + "\n")
+        with pytest.raises(FeedFormatError) as info:
+            read_feed_jsonl(str(path))
+        assert str(info.value) == f"{path}:2: bad record: {reason}"
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            '"feedtype"',
+            '{"feed": 5, "type": "botnet"}',
+            '{"feed": "", "type": "botnet"}',
+            '{"feed": "x", "type": "botnet", "has_volume": "false"}',
+            '{"feed": "x", "type": "botnet", "has_volume": 0}',
+        ],
+        ids=["string-header", "number-feed", "empty-feed",
+             "string-has-volume", "number-has-volume"],
+    )
+    def test_malformed_header_rejected(self, tmp_path, header):
+        path = tmp_path / "f.jsonl"
+        path.write_text(header + '\n{"d": "a.com", "t": 5}\n')
+        with pytest.raises(FeedFormatError, match=r"f\.jsonl: "):
+            read_feed_jsonl(str(path))
+
+    def test_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "f.jsonl"
+        path.write_bytes(
+            b'{"feed": "x", "type": "botnet"}\n{"d": "\xff.com", "t": 5}\n'
+        )
+        with pytest.raises(FeedFormatError, match="not UTF-8"):
+            read_feed_jsonl(str(path))
+
+    def test_deeply_nested_record_rejected(self, tmp_path):
+        path = tmp_path / "f.jsonl"
+        path.write_text('{"feed": "x", "type": "botnet"}\n' + "[" * 100000)
         with pytest.raises(FeedFormatError, match=r":2: bad record"):
             read_feed_jsonl(str(path))
 

@@ -152,20 +152,6 @@ class TestNoStaleReplies:
                 pool.broadcast(_fail_in_worker, pool._workers[0].pid)
             assert pool.run_batch(_square, [3, 4]) == [9, 16]
 
-    def test_abandoned_stream_closes_the_pool(self):
-        pool = WorkerPool(2)
-        try:
-            stream = pool.run_stream(_boom_or_sleep, ["A", "slow-B", "C"])
-            assert next(stream) == (0, "A")
-            stream.close()
-            # Replies were still in flight: the pool must not hand
-            # them to a later dispatch.
-            assert pool.closed
-            with pytest.raises(PoolClosed):
-                pool.run_batch(_square, [1])
-        finally:
-            pool.close()
-
 
 class TestInProcess:
     """Width 1 runs tasks inline in the parent: no fork, same contract."""

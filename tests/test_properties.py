@@ -18,7 +18,6 @@ from repro.io.serialization import (
     roundtrip_equal,
     write_feed_jsonl,
 )
-from repro.io.url_ingest import IngestStats
 from repro.stats.distributions import EmpiricalDistribution
 from repro.stats.kendall import kendall_tau_distributions
 
@@ -244,37 +243,3 @@ class TestPercentileInvariants:
         assert _percentile(ordered, 0.25) == approx(q1)
         assert _percentile(ordered, 0.50) == approx(q2)
         assert _percentile(ordered, 0.75) == approx(q3)
-
-
-class TestIngestStatsInvariants:
-    @given(
-        st.integers(0, 10**6),
-        st.integers(0, 10**6),
-        st.integers(0, 10**6),
-        st.integers(0, 10**6),
-        st.integers(0, 10**6),
-    )
-    @settings(max_examples=80)
-    def test_total_and_drop_fraction(
-        self, accepted, bad_json, missing, bad_url, bad_host
-    ):
-        stats = IngestStats(
-            accepted=accepted,
-            bad_json=bad_json,
-            missing_fields=missing,
-            unparseable_url=bad_url,
-            unparseable_host=bad_host,
-        )
-        assert stats.total == (
-            accepted + bad_json + missing + bad_url + bad_host
-        )
-        assert 0.0 <= stats.drop_fraction <= 1.0
-        if stats.total:
-            dropped = stats.total - accepted
-            assert stats.drop_fraction == pytest.approx(
-                dropped / stats.total, rel=1e-9, abs=1e-9
-            )
-        else:
-            assert stats.drop_fraction == 0.0
-        if accepted == stats.total:
-            assert stats.drop_fraction == 0.0

@@ -261,46 +261,6 @@ class TestPoolDispatchBoundaries:
         assert [f.rule for f in findings] == ["REP009"]
         assert "CACHE" in findings[0].message
 
-    def test_run_stream_task_is_fanout_root(self):
-        # Seeded known-bad fixture from the sharded world build: a
-        # run_stream-submitted shard builder that "registers" domains
-        # into a shared module-level registry.  The writes land in the
-        # worker fork and silently vanish from the parent -- exactly
-        # the bug the sharded build avoids by returning packed shards.
-        findings = findings_for(
-            """
-            from repro.parallel.pool import WorkerPool
-            SHARED_REGISTRY = {}
-
-            def build_shard(span):
-                lo, hi = span
-                for index in range(lo, hi):
-                    SHARED_REGISTRY[index] = "built"
-                return hi - lo
-
-            def build_all(spans):
-                with WorkerPool(2) as pool:
-                    return list(pool.run_stream(build_shard, spans))
-            """
-        )
-        assert [f.rule for f in findings] == ["REP009"]
-        assert "SHARED_REGISTRY" in findings[0].message
-
-    def test_pure_run_stream_task_is_clean(self):
-        assert rules_hit(
-            """
-            from repro.parallel.pool import WorkerPool
-
-            def build_shard(span):
-                lo, hi = span
-                return [(index, "built") for index in range(lo, hi)]
-
-            def build_all(spans):
-                with WorkerPool(2) as pool:
-                    return list(pool.run_stream(build_shard, spans))
-            """
-        ) == set()
-
     def test_shared_stream_in_pool_task(self):
         findings = findings_for(
             """

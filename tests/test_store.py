@@ -187,21 +187,21 @@ class TestRunWriter:
             ["a.com", "bad domain", "", "b.com", "bad domain"],
             [1, 2, 3, 2**63, 5],
         )
-        writer.land_raw("mx2", "raw line", "c.com", 7)
+        writer.land_sightings("mx2", ["c.com"], [7])
         rows = store.backend._conn.execute(
-            "SELECT feed, payload, status, reason, n_records FROM bronze "
+            "SELECT feed, status, reason, n_records FROM bronze "
             "ORDER BY seq"
         ).fetchall()
-        # one counted row per (landing call, status, reason), no
-        # payload; a raw record keeps its payload, counted once
+        # one counted row per (landing call, status, reason)
         assert rows == [
-            ("mx1", None, "ok", "", 1),
-            ("mx1", None, "rejected", "empty_domain", 1),
-            ("mx1", None, "rejected", "malformed_domain", 2),
-            ("mx1", None, "rejected", "time_out_of_range", 1),
-            ("mx2", "raw line", "ok", "", 1),
+            ("mx1", "ok", "", 1),
+            ("mx1", "rejected", "empty_domain", 1),
+            ("mx1", "rejected", "malformed_domain", 2),
+            ("mx1", "rejected", "time_out_of_range", 1),
+            ("mx2", "ok", "", 1),
         ]
         assert writer.cursor("mx1") == 5
+        assert writer.cursor("mx2") == 1
 
     def test_distinct_run_keys_land_independently(self):
         store = SightingStore.in_memory()
@@ -214,29 +214,6 @@ class TestRunWriter:
         assert len(store.runs()) == 2
         (gold,) = store.gold_rows("mx1")
         assert gold.n_sightings == 2  # gold aggregates across runs
-
-    def test_land_raw_accounting_matches_on_reland(self):
-        store = SightingStore.in_memory()
-        lines = [
-            ("good", "a.com", 10, None),
-            ("junk", None, None, "bad_json"),
-            ("huge", "b.com", 2**63, None),
-        ]
-        first_writer = self._writer(store)
-        first = [first_writer.land_raw("mx1", *line) for line in lines]
-        # one writer per pass; re-landing returns identical reasons
-        writer = self._writer(store)
-        second = [writer.land_raw("mx1", *line) for line in lines]
-        assert [reason for reason, _ in first] == [
-            None,
-            "bad_json",
-            REJECT_TIME_RANGE,
-        ]
-        assert [reason for reason, _ in second] == [
-            reason for reason, _ in first
-        ]
-        assert all(landed for _, landed in first)
-        assert not any(landed for _, landed in second)
 
     def test_gold_merge_is_batching_invariant(self):
         records = [("a.com", 30), ("b.com", 5), ("a.com", 10), ("a.com", 20)]

@@ -355,6 +355,35 @@ def _v1_store(tmp_path):
     return path
 
 
+def _v2_store(tmp_path):
+    """A store written by schema version 2 (nullable bronze payload)."""
+    path = str(tmp_path / "v2.sqlite")
+    conn = sqlite3.connect(path)
+    conn.executescript(
+        """
+        CREATE TABLE meta(key TEXT PRIMARY KEY, value TEXT NOT NULL);
+        INSERT INTO meta VALUES('format', 'repro-sighting-store');
+        INSERT INTO meta VALUES('version', '2');
+        CREATE TABLE runs(run_id INTEGER PRIMARY KEY,
+            run_key TEXT NOT NULL UNIQUE, seed INTEGER NOT NULL,
+            config_fingerprint TEXT NOT NULL, command TEXT NOT NULL);
+        CREATE TABLE bronze(seq INTEGER PRIMARY KEY,
+            run_id INTEGER NOT NULL, feed TEXT NOT NULL,
+            payload TEXT, status TEXT NOT NULL,
+            reason TEXT NOT NULL, n_records INTEGER NOT NULL);
+        CREATE TABLE silver(seq INTEGER PRIMARY KEY,
+            run_id INTEGER NOT NULL, feed TEXT NOT NULL,
+            domain TEXT NOT NULL, time INTEGER NOT NULL);
+        CREATE TABLE gold(feed TEXT NOT NULL, domain TEXT NOT NULL,
+            n_sightings INTEGER NOT NULL, first_seen INTEGER NOT NULL,
+            last_seen INTEGER NOT NULL, PRIMARY KEY(feed, domain));
+        """
+    )
+    conn.commit()
+    conn.close()
+    return path
+
+
 class TestQueryRejectsMalformedStores:
     """``query`` against anything that is not a sighting store: a clean
     two-line error and exit code 2, never a traceback -- whatever shape
@@ -408,6 +437,11 @@ class TestQueryRejectsMalformedStores:
         assert code == 2
         assert "unsupported store version '1'" in err
 
+    def test_version_2_store(self, tmp_path, capsys):
+        code, err = self._query(capsys, _v2_store(tmp_path))
+        assert code == 2
+        assert "unsupported store version '2'" in err
+
     def test_good_store_still_opens(self, tmp_path, capsys):
         path = str(tmp_path / "good.sqlite")
         store = SightingStore.open(path)
@@ -451,8 +485,10 @@ class TestStoreCommandsRejectMalformedStores:
             (_foreign_file, "not a sighting store"),
             (_wrong_columns_file, "not a sighting store"),
             (_v1_store, "unsupported store version '1'"),
+            (_v2_store, "unsupported store version '2'"),
         ],
-        ids=["garbage", "foreign", "wrong-columns", "version-1"],
+        ids=["garbage", "foreign", "wrong-columns", "version-1",
+             "version-2"],
     )
     def test_bad_store_exits_2(self, command, make, reason, tmp_path):
         path = make(tmp_path)
