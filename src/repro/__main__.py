@@ -5,15 +5,14 @@ Subcommands:
 * ``run``       -- build the world, collect the feeds, print/write every
                    table and figure.
 * ``stream``    -- Tables 1-3 as of any simulated day (a time-prefix of
-                   every feed), with windowed snapshots and
-                   checkpoint/resume.
+                   every feed), with windowed snapshots.
 * ``query``     -- answer cross-run questions (first-seen, feed stats,
                    sighting listings) from a persisted sighting store.
 * ``serve``     -- long-lived query daemon over a local HTTP socket:
                    worlds build once (coalesced) and answer many.
 * ``recommend`` -- rank feeds for a research question (Section 5).
 * ``filter``    -- evaluate feeds as blocking oracles.
-* ``lint``      -- run the reprolint determinism analyzer (REP001..008)
+* ``lint``      -- run the reprolint determinism analyzer (REP001..REP012)
                    over the source tree.
 * ``manifest``  -- validate a ``--trace`` run manifest and summarize it.
 
@@ -47,7 +46,6 @@ from repro.ecosystem import (
     small_config,
 )
 from repro.io.artifacts import ArtifactCache, default_cache_dir, fingerprint
-from repro.io.checkpoint import CheckpointError
 from repro.obs.hosttime import Stopwatch
 from repro.obs.manifest import (
     ManifestError,
@@ -75,6 +73,17 @@ def _progress(args, message: str) -> None:
     """Print one progress line to stderr unless ``--quiet`` was given."""
     if not args.quiet:
         print(message, file=sys.stderr)
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for a day count: a negative one is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _artifact_cache(args) -> Optional[ArtifactCache]:
@@ -225,18 +234,17 @@ def _cmd_stream(args) -> int:
         return _store_error(exc)
     try:
         with obs.activate(tracer):
-            status = _stream_body(args, store)
+            _stream_body(args, store)
     except StoreError as exc:
         return _store_error(exc)
     finally:
         if store is not None:
             store.close()
-    if status == 0:
-        _finish_observability(args, tracer, "stream", _resolved_config(args))
-    return status
+    _finish_observability(args, tracer, "stream", _resolved_config(args))
+    return 0
 
 
-def _stream_body(args, store: Optional[SightingStore] = None) -> int:
+def _stream_body(args, store: Optional[SightingStore] = None) -> None:
     config = _resolved_config(args)
     _progress(args, "Building world and collecting feed sources...")
     engine = build_stream_engine(
@@ -246,56 +254,22 @@ def _stream_body(args, store: Optional[SightingStore] = None) -> int:
         cache=_artifact_cache(args),
     )
 
-    def save_checkpoint() -> bool:
-        try:
-            engine.save_checkpoint(args.checkpoint)
-        except OSError as exc:
-            print(
-                f"error: cannot write checkpoint {args.checkpoint}: {exc}",
-                file=sys.stderr,
-            )
-            return False
-        return True
-
-    if args.resume:
-        try:
-            engine.resume(args.resume)
-        except CheckpointError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        _progress(
-            args,
-            f"Resumed from {args.resume}: "
-            f"{engine.records_processed:,} records already processed",
-        )
-
     if store is not None:
-        # The first advance after attaching lands every feed's prefix
-        # from record 0, so a resumed run's store is complete too.
         engine.attach_store(store, fingerprint(config))
 
-    timeline = engine.world.timeline
-    total_days = int(timeline.duration_days)
+    total_days = int(engine.world.timeline.duration_days)
     stop_day = total_days if args.until_day is None else min(
         args.until_day, total_days
     )
 
     watch = Stopwatch()
-    resumed_records = engine.records_processed
 
     def throughput() -> float:
         elapsed = watch.elapsed()
-        done = engine.records_processed - resumed_records
-        return done / elapsed if elapsed > 0 else 0.0
+        return engine.records_processed / elapsed if elapsed > 0 else 0.0
 
-    current_day = (
-        -1 if engine.position is None else timeline.day_of(engine.position)
-    )
     if args.snapshot_every:
-        day = args.snapshot_every
-        while day <= current_day:
-            day += args.snapshot_every
-        while day < stop_day:
+        for day in range(args.snapshot_every, stop_day, args.snapshot_every):
             engine.advance_to_day(day)
             snapshot = engine.snapshot()
             union, exclusive = snapshot.domain_spread()
@@ -311,9 +285,6 @@ def _stream_body(args, store: Optional[SightingStore] = None) -> int:
                 print(snapshot.header())
                 print(snapshot.render_tables())
                 print()
-            if args.checkpoint and not save_checkpoint():
-                return 2
-            day += args.snapshot_every
 
     if stop_day >= total_days:
         engine.run()
@@ -325,10 +296,6 @@ def _stream_body(args, store: Optional[SightingStore] = None) -> int:
         f"[stream] done: {engine.records_processed:,} records at "
         f"{throughput():,.0f} records/s",
     )
-    if args.checkpoint:
-        if not save_checkpoint():
-            return 2
-        _progress(args, f"Checkpoint written to {args.checkpoint}")
 
     if store is not None:
         engine.finish_store()
@@ -338,7 +305,6 @@ def _stream_body(args, store: Optional[SightingStore] = None) -> int:
     if not engine.exhausted:
         _progress(args, snapshot.header())
     print(snapshot.render_tables())
-    return 0
 
 
 def _cmd_query(args) -> int:
@@ -387,16 +353,6 @@ def _cmd_lint(args) -> int:
     from repro.devtools.lint import LintError, has_errors
     from repro.io.artifacts import ArtifactCache, default_cache_dir
 
-    if args.schema_pin:
-        from repro.devtools.rules import compute_schema_pin
-        from repro.io import checkpoint
-
-        print(
-            compute_schema_pin(
-                checkpoint.CHECKPOINT_VERSION, checkpoint.CHECKPOINT_SCHEMAS
-            )
-        )
-        return 0
     if args.store_schema_pin:
         from repro.devtools.rules import compute_schema_pin
         from repro.store import backend
@@ -637,27 +593,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     stream_parser = subparsers.add_parser(
         "stream", parents=[perf_parser],
-        help="incremental streaming analysis with checkpoint/resume",
+        help="Tables 1-3 as of any simulated day, with windowed snapshots",
     )
     stream_parser.add_argument(
-        "--snapshot-every", type=int, default=0, metavar="DAYS",
-        help="emit a progress snapshot every N simulated days",
+        "--snapshot-every", type=_non_negative_int, default=0,
+        metavar="DAYS",
+        help="emit a progress snapshot every N simulated days "
+             "(0 = none)",
     )
     stream_parser.add_argument(
         "--tables", action="store_true",
         help="print full Table 1/2/3 at every snapshot, not just at the end",
     )
     stream_parser.add_argument(
-        "--until-day", type=int, default=None, metavar="DAY",
+        "--until-day", type=_non_negative_int, default=None, metavar="DAY",
         help="stop after consuming records before this simulated day",
-    )
-    stream_parser.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="write a resumable checkpoint here (updated at snapshots)",
-    )
-    stream_parser.add_argument(
-        "--resume", default=None, metavar="PATH",
-        help="resume from a checkpoint written by --checkpoint",
     )
     stream_parser.set_defaults(handler=_cmd_stream)
 
@@ -761,10 +711,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--no-cache", action="store_true",
         help="recompute every file summary; neither read nor write "
              "the artifact cache",
-    )
-    lint_parser.add_argument(
-        "--schema-pin", action="store_true",
-        help="print the expected CHECKPOINT_SCHEMA_PIN and exit",
     )
     lint_parser.add_argument(
         "--store-schema-pin", action="store_true",

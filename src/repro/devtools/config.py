@@ -105,14 +105,6 @@ DEFAULT_RULES: Dict[str, RuleInfo] = {
             "sorted(...) instead.",
         ),
         RuleInfo(
-            "REP006",
-            "checkpoint schema changes need a version bump",
-            "Checkpoint payload fields are pinned (version + "
-            "fingerprint) in io/checkpoint.py; changing fields without "
-            "bumping CHECKPOINT_VERSION lets old readers resume from "
-            "incompatible files.",
-        ),
-        RuleInfo(
             "REP007",
             "parallel results must be reduced in task order",
             "Completion-order reduction (as_completed, imap_unordered) "

@@ -13,8 +13,7 @@ v2 runs in three phases:
 2. **Graph** -- the summaries compose into a module/call graph
    (:mod:`repro.devtools.graph`).
 3. **Interprocedural rules** -- REP009-REP012 run over the graph
-   (:mod:`repro.devtools.rules_interproc`), REP006 over the parsed
-   checkpoint-relevant modules.
+   (:mod:`repro.devtools.rules_interproc`).
 
 Findings are merged, pragma-suppressed, and sorted by
 ``(path, line, rule)``, so output is byte-stable at any ``--jobs``
@@ -29,7 +28,6 @@ Entry points:
 
 from __future__ import annotations
 
-import ast
 import dataclasses
 import hashlib
 import os
@@ -42,15 +40,7 @@ from repro.devtools.config import (
     SuppressionIndex,
     scan_pragmas,
 )
-from repro.devtools.rules import (
-    KIND_CONST_NAME,
-    PAYLOAD_FUNC_NAME,
-    RawFinding,
-    SCHEMA_PIN_NAME,
-    SCHEMA_TABLE_NAME,
-    SCHEMA_VERSION_NAME,
-    check_checkpoint_schema,
-)
+from repro.devtools.rules import RawFinding
 from repro.devtools.rules_interproc import run_interproc_rules
 from repro.devtools.summaries import (
     SUMMARY_VERSION,
@@ -188,7 +178,6 @@ def _summary_key(source: str, path: str, pin: str) -> str:
         kind=SUMMARY_KIND,
         config_fingerprint=content_hash(source),
         seed=SUMMARY_VERSION,
-        schema_pin="-",
         extra=path,
         code_pin=pin,
     )
@@ -238,39 +227,8 @@ def _gather_summaries(
 
 
 # ----------------------------------------------------------------------
-# Cross-file rules over summaries
+# Entry points
 # ----------------------------------------------------------------------
-
-#: Module-level names whose presence makes a file REP006-relevant.
-_CHECKPOINT_NAMES = frozenset(
-    {
-        SCHEMA_PIN_NAME,
-        SCHEMA_VERSION_NAME,
-        SCHEMA_TABLE_NAME,
-        KIND_CONST_NAME,
-        PAYLOAD_FUNC_NAME,
-    }
-)
-
-
-def _checkpoint_trees(
-    summaries: Sequence[FileSummary], sources: Dict[str, str]
-) -> Dict[str, ast.Module]:
-    """Re-parse only the files REP006 can say anything about.
-
-    The checkpoint-schema check works on raw ASTs (it inspects
-    non-literal constant expressions); re-parsing the two or three
-    relevant modules keeps the warm path free of a full-tree parse.
-    """
-    trees: Dict[str, ast.Module] = {}
-    for summary in summaries:
-        names = set(summary.module_bindings) | set(summary.constants)
-        if summary.payload is None and not (names & _CHECKPOINT_NAMES):
-            continue
-        trees[summary.path] = ast.parse(
-            sources[summary.path], filename=summary.path
-        )
-    return trees
 
 
 def lint_source(
@@ -291,10 +249,6 @@ def lint_source(
         summary.module_findings, path, suppressions, config
     )
     for raw_path, raw in run_interproc_rules([summary]).items():
-        findings.extend(_finalize(raw, raw_path, suppressions, config))
-    for raw_path, raw in check_checkpoint_schema(
-        _checkpoint_trees([summary], {path: source})
-    ).items():
         findings.extend(_finalize(raw, raw_path, suppressions, config))
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
@@ -359,12 +313,6 @@ def lint_paths(
             )
         )
     for path, raw in run_interproc_rules(summaries).items():
-        findings.extend(
-            _finalize(raw, path, by_path[path].pragmas, config)
-        )
-    for path, raw in check_checkpoint_schema(
-        _checkpoint_trees(summaries, sources)
-    ).items():
         findings.extend(
             _finalize(raw, path, by_path[path].pragmas, config)
         )

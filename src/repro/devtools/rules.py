@@ -1,10 +1,8 @@
-"""AST visitors implementing the REP001..REP008 rules.
+"""AST visitors implementing the single-file rules.
 
 The single-file rules (REP001..REP005, REP007, REP008) run in one pass
-per module via :class:`ModuleRuleVisitor`.  REP006 is cross-file (the checkpoint
-schema pin lives in ``io/checkpoint.py`` while payload producers live
-elsewhere) and is implemented by :func:`check_checkpoint_schema` over
-every module parsed in the lint run.
+per module via :class:`ModuleRuleVisitor`; the cross-file rules
+(REP009..REP012) live in :mod:`repro.devtools.rules_interproc`.
 
 All rules are heuristic in the way any useful linter is: they match
 the syntactic shapes this codebase actually uses, and every finding
@@ -19,7 +17,7 @@ import ast
 import dataclasses
 import hashlib
 import json
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence
 
 from repro.devtools.config import (
     ACCUMULATION_PACKAGES,
@@ -508,23 +506,14 @@ class ModuleRuleVisitor(ast.NodeVisitor):
 
 
 # ----------------------------------------------------------------------
-# REP006: checkpoint schema pinning (cross-file)
+# Schema pins (REP012 checks the store's)
 # ----------------------------------------------------------------------
-
-#: Constant names the schema module must declare.
-SCHEMA_VERSION_NAME = "CHECKPOINT_VERSION"
-SCHEMA_TABLE_NAME = "CHECKPOINT_SCHEMAS"
-SCHEMA_PIN_NAME = "CHECKPOINT_SCHEMA_PIN"
-#: Constant naming a payload producer's checkpoint kind.
-KIND_CONST_NAME = "CHECKPOINT_KIND"
-#: Function whose returned dict literal is the checkpoint payload.
-PAYLOAD_FUNC_NAME = "checkpoint_payload"
 
 
 def compute_schema_pin(
     version: int, schemas: Mapping[str, Sequence[str]]
 ) -> str:
-    """The expected ``CHECKPOINT_SCHEMA_PIN`` for *version*/*schemas*.
+    """The expected pin for a *version* and its *schemas* table.
 
     The pin embeds the version, so any field change forces an edit to
     the pin and makes the absent version bump visible in review.
@@ -536,146 +525,3 @@ def compute_schema_pin(
     )
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
     return f"v{version}:{digest}"
-
-
-def _module_constants(tree: ast.Module) -> Dict[str, ast.AST]:
-    constants: Dict[str, ast.AST] = {}
-    for stmt in tree.body:
-        targets: List[ast.expr] = []
-        value: Optional[ast.expr] = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        for target in targets:
-            if isinstance(target, ast.Name) and value is not None:
-                constants[target.id] = value
-    return constants
-
-
-def _literal(node: ast.AST) -> object:
-    try:
-        return ast.literal_eval(node)
-    except (ValueError, SyntaxError):
-        return None
-
-
-def _payload_dict_keys(tree: ast.Module) -> Optional[Tuple[int, List[str]]]:
-    """(line, keys) of the dict literal returned by checkpoint_payload."""
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and node.name == PAYLOAD_FUNC_NAME
-        ):
-            for stmt in ast.walk(node):
-                if isinstance(stmt, ast.Return) and isinstance(
-                    stmt.value, ast.Dict
-                ):
-                    keys = [
-                        key.value
-                        for key in stmt.value.keys
-                        if isinstance(key, ast.Constant)
-                        and isinstance(key.value, str)
-                    ]
-                    return stmt.value.lineno, keys
-    return None
-
-
-def check_checkpoint_schema(
-    modules: Mapping[str, ast.Module],
-) -> Dict[str, List[RawFinding]]:
-    """Run REP006 over every parsed module of the lint run.
-
-    Returns findings keyed by file path.  The *schema module* is any
-    module declaring ``CHECKPOINT_SCHEMA_PIN``; *payload producers*
-    are modules declaring both ``CHECKPOINT_KIND`` and a
-    ``checkpoint_payload`` function returning a dict literal.
-    """
-    findings: Dict[str, List[RawFinding]] = {}
-
-    def emit(path: str, line: int, message: str) -> None:
-        findings.setdefault(path, []).append(
-            RawFinding(rule="REP006", line=line, col=0, message=message)
-        )
-
-    schema_path: Optional[str] = None
-    schemas: Mapping[str, Sequence[str]] = {}
-    for path in sorted(modules):
-        tree = modules[path]
-        constants = _module_constants(tree)
-        pin_node = constants.get(SCHEMA_PIN_NAME)
-        if pin_node is None:
-            continue
-        schema_path = path
-        version_node = constants.get(SCHEMA_VERSION_NAME)
-        table_node = constants.get(SCHEMA_TABLE_NAME)
-        pin = _literal(pin_node)
-        version = _literal(version_node) if version_node else None
-        table = _literal(table_node) if table_node else None
-        if not isinstance(version, int):
-            emit(
-                path,
-                pin_node.lineno,
-                f"{SCHEMA_PIN_NAME} declared without an integer "
-                f"{SCHEMA_VERSION_NAME}",
-            )
-            continue
-        if not isinstance(table, dict) or not all(
-            isinstance(kind, str)
-            and isinstance(fields, (list, tuple))
-            and all(isinstance(f, str) for f in fields)
-            for kind, fields in table.items()
-        ):
-            emit(
-                path,
-                pin_node.lineno,
-                f"{SCHEMA_PIN_NAME} declared without a literal "
-                f"{SCHEMA_TABLE_NAME} mapping kind -> field names",
-            )
-            continue
-        schemas = table
-        expected = compute_schema_pin(version, table)
-        if pin != expected:
-            emit(
-                path,
-                pin_node.lineno,
-                "checkpoint schema fields changed without a version "
-                f"bump: {SCHEMA_PIN_NAME} is {pin!r} but the declared "
-                f"schemas pin to {expected!r}; bump "
-                f"{SCHEMA_VERSION_NAME} and re-pin (see "
-                "'python -m repro lint --schema-pin')",
-            )
-        break
-
-    for path in sorted(modules):
-        tree = modules[path]
-        constants = _module_constants(tree)
-        kind_node = constants.get(KIND_CONST_NAME)
-        payload = _payload_dict_keys(tree)
-        if kind_node is None or payload is None:
-            continue
-        kind = _literal(kind_node)
-        if not isinstance(kind, str):
-            continue
-        line, keys = payload
-        if schema_path is None:
-            continue  # no schema module in this lint run; nothing to pin against
-        declared = schemas.get(kind)
-        if declared is None:
-            emit(
-                path,
-                kind_node.lineno,
-                f"checkpoint kind {kind!r} has no entry in "
-                f"{SCHEMA_TABLE_NAME} ({schema_path})",
-            )
-            continue
-        if sorted(keys) != sorted(declared):
-            emit(
-                path,
-                line,
-                f"checkpoint payload fields {sorted(keys)} do not match "
-                f"the pinned schema {sorted(declared)} for kind "
-                f"{kind!r}; update {SCHEMA_TABLE_NAME} in "
-                f"{schema_path}, bump {SCHEMA_VERSION_NAME}, and re-pin",
-            )
-    return findings

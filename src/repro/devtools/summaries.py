@@ -211,7 +211,6 @@ class FileSummary:
     module_rng_bindings: Tuple[str, ...]
     constants: Mapping[str, object]
     constant_lines: Mapping[str, int]
-    payload: Optional[Tuple[int, Tuple[str, ...]]]
     sql_literals: Tuple[SqlLiteral, ...]
     functions: Tuple[FunctionSummary, ...]
     classes: Tuple[str, ...]
@@ -960,16 +959,6 @@ def _module_rng_bindings(tree: ast.Module) -> List[str]:
     return names
 
 
-def _payload_keys(tree: ast.Module) -> Optional[Tuple[int, Tuple[str, ...]]]:
-    from repro.devtools.rules import _payload_dict_keys
-
-    found = _payload_dict_keys(tree)
-    if found is None:
-        return None
-    line, keys = found
-    return line, tuple(keys)
-
-
 def _sql_literals(tree: ast.Module) -> List[SqlLiteral]:
     literals: List[SqlLiteral] = []
     for node in ast.walk(tree):
@@ -1052,7 +1041,6 @@ def summarize_source(
         module_rng_bindings=tuple(sorted(set(_module_rng_bindings(tree)))),
         constants=constants,
         constant_lines=constant_lines,
-        payload=_payload_keys(tree),
         sql_literals=tuple(_sql_literals(tree)),
         functions=tuple(sink),
         classes=classes,

@@ -6,13 +6,12 @@ depend only on deterministic analysis code.  This module caches such
 artifacts under a content-addressed key so repeated runs -- benchmarks,
 examples, the CLI -- skip the expensive stages entirely:
 
-    key = SHA-256(kind, config fingerprint, seed,
-                  CHECKPOINT_SCHEMA_PIN, code fingerprint)
+    key = SHA-256(kind, config fingerprint, seed, code fingerprint)
 
-The checkpoint schema pin and the package code fingerprint are part of
-the key on purpose: payload-layout changes and source edits both make
-old artifacts stale, so both re-address the cache -- an entry from an
-older code generation can never be resurrected; it simply stops being
+The package code fingerprint is part of the key on purpose: any
+source edit, payload-layout changes included, makes old artifacts
+stale and re-addresses the cache -- an entry from an older code
+generation can never be resurrected; it simply stops being
 addressed.  Every entry also carries a format/version envelope
 and is atomically written, so a torn write or a foreign file reads as
 a cache *miss*.  The envelope check covers the pickle's framing, not
@@ -38,7 +37,6 @@ import tempfile
 from typing import Any, Callable, Iterator, Mapping, Optional, Tuple
 
 from repro import obs
-from repro.io.checkpoint import CHECKPOINT_SCHEMA_PIN
 
 #: Envelope format marker for cache entries.
 ARTIFACT_FORMAT = "repro-artifact"
@@ -149,7 +147,6 @@ def artifact_key(
     kind: str,
     config_fingerprint: str,
     seed: int,
-    schema_pin: str = CHECKPOINT_SCHEMA_PIN,
     extra: str = "",
     code_pin: Optional[str] = None,
 ) -> str:
@@ -166,7 +163,6 @@ def artifact_key(
             "kind": kind,
             "config": config_fingerprint,
             "seed": seed,
-            "schema_pin": schema_pin,
             "extra": extra,
             "code": code_fingerprint() if code_pin is None else code_pin,
         },

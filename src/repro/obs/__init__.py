@@ -17,9 +17,8 @@ side channel layered on top of it:
 Two invariants keep observability from contaminating reproducibility:
 host-time values never flow into any analysis artifact (spans and
 metrics are written only to the manifest side channel), and manifests
-are never part of artifact-cache keys or checkpoint payloads.  A
-traced run is therefore byte-identical to an untraced one in every
-table and figure.
+are never part of artifact-cache keys.  A traced run is therefore
+byte-identical to an untraced one in every table and figure.
 """
 
 from repro.obs.hosttime import Stopwatch, peak_rss_kib, wall_now

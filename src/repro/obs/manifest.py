@@ -5,13 +5,12 @@ paper asks feed consumers to demand: which code (git describe), which
 configuration (fingerprint), which seed, where the time went (span
 tree), and what the counters saw (metric snapshot).  It is a **side
 channel**: manifests are written next to the analysis artifacts, never
-into them — they do not enter artifact-cache keys or checkpoint
-payloads, so two runs that differ only in tracing produce byte-identical
-tables and figures.
+into them — they do not enter artifact-cache keys, so two runs that
+differ only in tracing produce byte-identical tables and figures.
 
 The schema is hand-rolled (zero dependencies) and versioned; consumers
 should reject manifests whose ``format``/``version`` they do not know,
-exactly like the checkpoint and artifact envelopes.
+exactly like the artifact-cache envelopes.
 """
 
 from __future__ import annotations

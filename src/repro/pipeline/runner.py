@@ -449,8 +449,7 @@ class PaperPipeline(PaperView):
 
         The engine slices the already-collected datasets by day;
         draining it and snapshotting reproduces this pipeline's tables
-        and figures byte-for-byte.  Its run key is the store's, so its
-        checkpoints only resume against this (config, seed).
+        and figures byte-for-byte.
         """
         from repro.stream.engine import StreamEngine
 
@@ -460,7 +459,6 @@ class PaperPipeline(PaperView):
             result.datasets,
             seed=self.seed,
             feed_order=self.feed_order,
-            run_key=run_key_for(fingerprint(self.config), self.seed),
         )
 
     # ------------------------------------------------------------------

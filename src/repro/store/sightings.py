@@ -24,8 +24,9 @@ Landing is **idempotent per run**: every run lands under a
 skips the per-feed prefix that a previous landing of the same run
 already wrote (bronze record counts are the cursors).  Running ``run
 --store`` and then ``stream --store`` against the same file therefore
-lands each sighting exactly once, and a resumed stream completes the
-store instead of duplicating its prefix.
+lands each sighting exactly once, and a stream landed in two sessions
+(``--until-day D``, then a drain) completes the store instead of
+duplicating its prefix.
 """
 
 from __future__ import annotations

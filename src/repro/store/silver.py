@@ -40,8 +40,16 @@ STATUS_REJECTED = "rejected"
 
 
 def validate_domain(domain: object) -> Optional[str]:
-    """The domain half of :func:`validate_sighting`."""
-    if not isinstance(domain, str) or not domain:
+    """The domain half of :func:`validate_sighting`.
+
+    An absent (``None``) or empty domain is ``empty_domain``; any other
+    non-string value (a JSON number, list, ...) is ``malformed_domain``.
+    """
+    if not isinstance(domain, str):
+        if domain is None:
+            return REJECT_EMPTY_DOMAIN
+        return REJECT_MALFORMED_DOMAIN
+    if not domain:
         return REJECT_EMPTY_DOMAIN
     # Domains are DNS labels: whitespace (newlines especially) would
     # corrupt the joined-string column blobs in feeds.base.PackedColumns

@@ -14,9 +14,9 @@ beyond the prefix slice) and is a
 renders every table and figure as of its day, and a drained snapshot is
 the batch output, byte for byte.
 
-The sources are deterministic functions of ``(config, seed)``, so a
-checkpoint is just the run key and the day: resuming rebuilds the
-sources and re-slices them through :mod:`repro.io.checkpoint`.
+The sources are deterministic functions of ``(config, seed)``, so "as
+of day D" needs no saved state: any process that rebuilds the sources
+reaches the same position with one ``advance_to_day(D)``.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ import dataclasses
 from bisect import bisect_left
 from typing import (
     TYPE_CHECKING,
-    Any,
     Dict,
-    Iterator,
     Mapping,
     Optional,
     Sequence,
@@ -44,11 +42,6 @@ from repro.feeds import (
     FeedDataset,
     PAPER_FEED_ORDER,
 )
-from repro.io.checkpoint import (
-    CheckpointError,
-    read_checkpoint,
-    write_checkpoint,
-)
 from repro.io.columns import ColumnBlock
 from repro.reporting.paper import PaperView
 from repro.simtime import MINUTES_PER_DAY, SimTime
@@ -56,9 +49,6 @@ from repro.store.sightings import RunWriter, SightingStore, run_key_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.io.artifacts import ArtifactCache
-
-#: Checkpoint envelope kind for stream-engine positions.
-CHECKPOINT_KIND = "stream-engine"
 
 
 @dataclasses.dataclass
@@ -138,8 +128,7 @@ class StreamEngine:
     """Positioned as-of-day view over a run's collected feed datasets.
 
     The position is a day boundary; each feed's prefix is its records
-    strictly before that boundary.  ``run_key`` identifies the (config,
-    seed) run the datasets came from and is what checkpoints record.
+    strictly before that boundary.
     """
 
     def __init__(
@@ -148,12 +137,11 @@ class StreamEngine:
         datasets: Mapping[str, FeedDataset],
         seed: int = 2012,
         feed_order: Sequence[str] = PAPER_FEED_ORDER,
-        run_key: Optional[str] = None,
     ):
         if not datasets:
             raise ValueError("need at least one feed dataset")
         for name, ds in datasets.items():
-            # Snapshots, checkpoints and store landings all key by name.
+            # Snapshots and store landings key by name.
             if ds.name != name:
                 raise ValueError(
                     f"dataset {ds.name!r} registered under {name!r}"
@@ -162,14 +150,11 @@ class StreamEngine:
         self.seed = seed
         self.feed_order = list(feed_order)
         self.datasets = dict(datasets)
-        self.run_key = run_key
         self._blocks: Dict[str, ColumnBlock] = {
             name: _time_sorted(ds) for name, ds in self.datasets.items()
         }
         #: Per-feed prefix length: records before the current boundary.
         self._cuts: Dict[str, int] = {name: 0 for name in self._blocks}
-        #: The day the cuts stand at; None once drained.
-        self._day: Optional[int] = 0
         self._writer: Optional[RunWriter] = None
         #: Per-feed prefix length already offered to the store writer.
         self._landed: Dict[str, int] = {}
@@ -192,7 +177,7 @@ class StreamEngine:
         run exactly once.  The first advance after attaching offers
         each feed's prefix from record 0, so the writer's prefix skip
         makes the store hold the whole prefix even when the engine was
-        positioned (resumed) before the store was attached.
+        positioned before the store was attached.
         """
         self._writer = store.open_run(
             run_key_for(config_fingerprint, self.seed),
@@ -274,7 +259,6 @@ class StreamEngine:
                     for name, block in self._blocks.items()
                 }
             )
-            self._day = day
             if span is not None:
                 span.attributes["records"] = moved
         return moved
@@ -285,7 +269,6 @@ class StreamEngine:
             moved = self._move(
                 {name: len(block) for name, block in self._blocks.items()}
             )
-            self._day = None
             if span is not None:
                 span.attributes["records"] = moved
         return moved
@@ -317,70 +300,6 @@ class StreamEngine:
             as_of=self.position,
         )
 
-    def daily_snapshots(
-        self, every_days: int = 1
-    ) -> Iterator[StreamSnapshot]:
-        """Windowed emission: a snapshot after each *every_days* of data.
-
-        Yields the snapshot as of the end of day ``every_days``,
-        ``2*every_days``, ... up to and including the end of the window
-        (the final snapshot covers every record).
-        """
-        if every_days <= 0:
-            raise ValueError("every_days must be positive")
-        timeline = self.world.timeline
-        total_days = int(timeline.duration_days)
-        day = every_days
-        while day < total_days:
-            self.advance_to_day(day)
-            yield self.snapshot()
-            day += every_days
-        self.run()
-        yield self.snapshot()
-
-    # ------------------------------------------------------------------
-    # Checkpoint / resume
-    # ------------------------------------------------------------------
-
-    def checkpoint_payload(self) -> Dict[str, Any]:
-        """The resumable position: run identity plus day (None: drained)."""
-        return {"run_key": self.run_key, "day": self._day}
-
-    def save_checkpoint(self, path: str) -> None:
-        """Atomically write the current position to *path*."""
-        if self.run_key is None:
-            raise CheckpointError(
-                "engine has no run key; build it through "
-                "PaperPipeline.stream_engine() to checkpoint it"
-            )
-        write_checkpoint(path, CHECKPOINT_KIND, self.checkpoint_payload())
-
-    def resume(self, path: str) -> None:
-        """Move to the position recorded in checkpoint *path*.
-
-        The checkpoint must come from the same (config, seed) run as
-        this engine's datasets; a foreign one raises
-        :class:`CheckpointError`.
-        """
-        payload = read_checkpoint(path, CHECKPOINT_KIND)
-        run_key = payload.get("run_key")
-        day = payload.get("day")
-        if not isinstance(run_key, str) or not (
-            day is None
-            or (type(day) is int and day >= 0)
-        ):
-            raise CheckpointError(f"{path}: bad stream checkpoint payload")
-        if run_key != self.run_key:
-            raise CheckpointError(
-                f"{path}: checkpoint belongs to run {run_key!r}, not to "
-                f"this run {self.run_key!r} (different config, scale or "
-                "seed)"
-            )
-        if day is None:
-            self.run()
-        else:
-            self.advance_to_day(day)
-
     def __repr__(self) -> str:
         return (
             f"StreamEngine(records={self.records_processed}, "
@@ -399,8 +318,8 @@ def build_stream_engine(
     """Build the world, collect the feed suite, and wrap it in an engine.
 
     The datasets are deterministic functions of ``(config, seed)``,
-    which is what makes checkpoints portable across processes: a
-    resuming run rebuilds identical datasets and re-slices them.
+    so every process that builds the engine for one run slices
+    identical datasets.
     ``jobs`` parallelizes collection and ``cache`` reuses a previously
     built world + dataset state; neither changes a byte of the output.
     """

@@ -18,7 +18,6 @@ from repro.io.artifacts import (
     default_cache_dir,
     fingerprint,
 )
-from repro.io.checkpoint import CHECKPOINT_SCHEMA_PIN
 from repro.pipeline import PaperPipeline
 from repro.pipeline import runner as runner_module
 
@@ -76,15 +75,10 @@ class TestFingerprint:
         base = artifact_key("render-all", fp, 7)
         assert artifact_key("pipeline-state", fp, 7) != base
         assert artifact_key("render-all", fp, 8) != base
-        assert artifact_key("render-all", fp, 7, schema_pin="v9:x") != base
         assert artifact_key("render-all", fp, 7, extra="variant") != base
         assert artifact_key("render-all", fp, 7, code_pin="other") != base
-        # The pins default to the live checkpoint schema pin and the
-        # live code fingerprint, so schema bumps and source edits both
-        # implicitly invalidate every cached artifact.
-        assert base == artifact_key(
-            "render-all", fp, 7, schema_pin=CHECKPOINT_SCHEMA_PIN
-        )
+        # The code pin defaults to the live code fingerprint, so source
+        # edits implicitly invalidate every cached artifact.
         assert base == artifact_key(
             "render-all", fp, 7, code_pin=code_fingerprint()
         )

@@ -111,11 +111,12 @@ class TestJsonlErrors:
             ('{"d": "a.com", "t": null}', "bad_time"),
             ('{"d": "a.com", "t": [5]}', "bad_time"),
             ('{"d": "a.com", "t": {"v": 5}}', "bad_time"),
-            ('{"d": 5, "t": 5}', "empty_domain"),
+            ('{"d": 5, "t": 5}', "malformed_domain"),
             ('{"d": "a .com", "t": 5}', "malformed_domain"),
-            ('{"d": 5, "t": true}', "empty_domain"),
+            ('{"d": 5, "t": true}', "malformed_domain"),
             ('{"d": "ALSO NOT A DOMAIN", "t": "12"}', "malformed_domain"),
             ('["a.com", 5]', "record is not a JSON object"),
+            ('{"t": 5}', "empty_domain"),
         ],
         ids=["empty-domain", "newline-in-domain", "time-past-int64",
              "time-before-int64", "lone-surrogate", "nan-time",
@@ -124,7 +125,7 @@ class TestJsonlErrors:
              "null-time", "list-time", "object-time",
              "non-string-domain", "inner-whitespace-domain",
              "probe-number-domain-bool-time", "probe-spaced-string-time",
-             "non-object-record"],
+             "non-object-record", "missing-domain"],
     )
     def test_unpackable_record_rejected(self, tmp_path, record, reason):
         # A record is admitted only through the store's silver gate, on

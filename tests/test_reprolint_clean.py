@@ -2,7 +2,7 @@
 
 This is the guard the tentpole exists for: any new order-sensitive
 accumulation, hidden-global RNG use, wall-clock read, or unpinned
-checkpoint schema change fails this test (and ``python -m repro lint
+store schema change fails this test (and ``python -m repro lint
 --strict`` in CI) at the file:line that introduced it.
 """
 
@@ -19,13 +19,3 @@ PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__))
 def test_source_tree_has_zero_findings():
     findings = lint_paths([PACKAGE_DIR])
     assert findings == [], "\n" + render_text(findings)
-
-
-def test_schema_pin_is_fresh():
-    """The pinned checkpoint schema matches the declared fields."""
-    from repro.devtools.rules import compute_schema_pin
-    from repro.io import checkpoint
-
-    assert checkpoint.CHECKPOINT_SCHEMA_PIN == compute_schema_pin(
-        checkpoint.CHECKPOINT_VERSION, checkpoint.CHECKPOINT_SCHEMAS
-    )

@@ -759,7 +759,7 @@ class TestSarif:
         document = json.loads(render_sarif([]))
         run = document["runs"][0]
         assert run["results"] == []
-        assert len(run["tool"]["driver"]["rules"]) == 12
+        assert len(run["tool"]["driver"]["rules"]) == 11
 
 
 # ----------------------------------------------------------------------

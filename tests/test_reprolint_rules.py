@@ -19,7 +19,6 @@ from repro.devtools import (
     DEFAULT_RULES,
     LintConfig,
     Severity,
-    lint_paths,
     lint_source,
     render_json,
     render_text,
@@ -265,76 +264,15 @@ class TestRep005:
 
 
 # ----------------------------------------------------------------------
-# REP006: checkpoint schema pin (cross-file)
+# Schema pins (the helper behind REP012)
 # ----------------------------------------------------------------------
 
-GOOD_SCHEMAS = {"stream-engine": ["seed", "cursors"]}
 
-
-def write_schema_module(tmp_path, pin, name="checkpoint.py", schemas=None):
-    schemas = GOOD_SCHEMAS if schemas is None else schemas
-    path = tmp_path / name
-    path.write_text(
-        textwrap.dedent(
-            f"""
-            CHECKPOINT_VERSION = 1
-            CHECKPOINT_SCHEMAS = {schemas!r}
-            CHECKPOINT_SCHEMA_PIN = {pin!r}
-            """
-        )
-    )
-    return str(path)
-
-
-def write_payload_module(tmp_path, keys, name="engine.py"):
-    body = ", ".join(f'"{key}": 0' for key in keys)
-    path = tmp_path / name
-    path.write_text(
-        textwrap.dedent(
-            f"""
-            CHECKPOINT_KIND = "stream-engine"
-
-            def checkpoint_payload():
-                return {{{body}}}
-            """
-        )
-    )
-    return str(path)
-
-
-class TestRep006:
-    def test_stale_pin_flagged(self, tmp_path):
-        write_schema_module(tmp_path, "v1:000000000000")
-        findings = lint_paths([str(tmp_path)])
-        assert rules_of(findings) == ["REP006"]
-        assert "version bump" in findings[0].message
-
-    def test_fresh_pin_ok(self, tmp_path):
-        write_schema_module(tmp_path, compute_schema_pin(1, GOOD_SCHEMAS))
-        assert lint_paths([str(tmp_path)]) == []
-
-    def test_payload_key_mismatch_flagged(self, tmp_path):
-        write_schema_module(tmp_path, compute_schema_pin(1, GOOD_SCHEMAS))
-        write_payload_module(tmp_path, ["seed", "cursors", "extra"])
-        findings = lint_paths([str(tmp_path)])
-        assert rules_of(findings) == ["REP006"]
-        assert "extra" in findings[0].message
-
-    def test_matching_payload_ok(self, tmp_path):
-        write_schema_module(tmp_path, compute_schema_pin(1, GOOD_SCHEMAS))
-        write_payload_module(tmp_path, ["seed", "cursors"])
-        assert lint_paths([str(tmp_path)]) == []
-
-    def test_unknown_kind_flagged(self, tmp_path):
-        write_schema_module(tmp_path, compute_schema_pin(1, {}), schemas={})
-        write_payload_module(tmp_path, ["seed"])
-        findings = lint_paths([str(tmp_path)])
-        assert rules_of(findings) == ["REP006"]
-        assert "no entry" in findings[0].message
-
+class TestSchemaPin:
     def test_version_bump_changes_pin(self):
-        assert compute_schema_pin(1, GOOD_SCHEMAS) != compute_schema_pin(
-            2, GOOD_SCHEMAS
+        schemas = {"meta": ["key", "value"]}
+        assert compute_schema_pin(1, schemas) != compute_schema_pin(
+            2, schemas
         )
 
 
@@ -631,7 +569,6 @@ def seed_all_rule_violations(tmp_path):
     (tmp_path / "rep005.py").write_text(
         "for d in set(domains):\n    noise = rng.random()\n"
     )
-    write_schema_module(tmp_path, "v1:000000000000", name="rep006.py")
     (tmp_path / "rep007.py").write_text(
         "import os\nworkers = os.cpu_count()\n"
     )
@@ -707,9 +644,9 @@ class TestCli:
         result = run_cli(str(tmp_path), "--disable", "REP999")
         assert result.returncode == 2
 
-    def test_schema_pin_matches_declared(self):
-        from repro.io import checkpoint
-
-        result = run_cli("--schema-pin")
-        assert result.returncode == 0
-        assert result.stdout.strip() == checkpoint.CHECKPOINT_SCHEMA_PIN
+    def test_retired_rule_is_unknown(self, tmp_path):
+        # REP006 guarded a checkpoint format the program no longer has.
+        assert "REP006" not in DEFAULT_RULES
+        result = run_cli(str(tmp_path), "--disable", "REP006")
+        assert result.returncode == 2
+        assert "REP006" in result.stderr

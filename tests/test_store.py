@@ -50,6 +50,7 @@ class TestSilverValidation:
         [
             ("", REJECT_EMPTY_DOMAIN),
             (None, REJECT_EMPTY_DOMAIN),
+            (5, REJECT_MALFORMED_DOMAIN),
             ("has space.com", REJECT_MALFORMED_DOMAIN),
             ("line\nbreak.com", REJECT_MALFORMED_DOMAIN),
             ("tab\there.com", REJECT_MALFORMED_DOMAIN),

@@ -84,69 +84,81 @@ class TestStoreBackedRunIsByteIdentical:
             assert len(store.runs()) == 1
 
 
-class TestCursorCheckpoint:
-    def test_resume_from_cursor_checkpoint_is_identical(
-        self, tmp_path, capsys
-    ):
-        store_path = str(tmp_path / "ck.sqlite")
-        ck = str(tmp_path / "ck.json")
-        code, _, _ = _run(
-            capsys,
-            ["--small", "--seed", "7", "-q", "stream", "--store", store_path,
-             "--until-day", "46", "--checkpoint", ck],
-        )
-        assert code == 0
-        code, resumed, _ = _run(
-            capsys,
-            ["--small", "--seed", "7", "-q", "stream", "--store", store_path,
-             "--resume", ck],
-        )
-        assert code == 0
-        code, straight, _ = _run(
-            capsys, ["--small", "--seed", "7", "-q", "stream"]
-        )
-        assert code == 0
-        assert resumed == straight
+class TestTwoSessionLanding:
+    """``stream --until-day D --store s`` then ``stream --store s``.
 
-    def test_resume_without_store_matches_straight_run(
+    The engine's sources are deterministic in (config, seed), so a
+    later session reaches any day again without saved state, and the
+    store's per-run prefix skip makes the second session land only
+    what the first did not: the store ends up holding what one
+    straight ``stream --store`` lands.
+    """
+
+    BASE = ["--small", "--seed", "7", "-q", "stream"]
+
+    def test_first_session_lands_only_its_prefix(self, tmp_path, capsys):
+        path = str(tmp_path / "half.sqlite")
+        code, _, err = _run(
+            capsys,
+            ["--small", "--seed", "7", "stream", "--until-day", "46",
+             "--store", path],
+        )
+        assert code == 0
+        done = int(
+            err.split("[stream] done: ")[1].split(" records")[0]
+            .replace(",", "")
+        )
+        with SightingStore.open(path) as store:
+            assert len(store.sightings()) == done
+        assert 0 < done < 59583
+
+    def test_second_session_stdout_matches_straight_stream(
         self, tmp_path, capsys
     ):
-        store_path = str(tmp_path / "ck.sqlite")
-        ck = str(tmp_path / "ck.json")
-        assert _run(
-            capsys,
-            ["--small", "--seed", "7", "-q", "stream", "--store", store_path,
-             "--until-day", "20", "--checkpoint", ck],
-        )[0] == 0
-        code, resumed, err = _run(
-            capsys, ["--small", "--seed", "7", "-q", "stream", "--resume", ck]
-        )
+        path = str(tmp_path / "s.sqlite")
+        argv = self.BASE + ["--until-day", "46", "--store", path]
+        assert _run(capsys, argv)[0] == 0
+        code, second, err = _run(capsys, self.BASE + ["--store", path])
         assert code == 0 and err == ""
-        code, straight, _ = _run(
-            capsys, ["--small", "--seed", "7", "-q", "stream"]
-        )
+        code, straight, _ = _run(capsys, self.BASE)
         assert code == 0
-        assert resumed == straight
+        assert second == straight
 
-    def test_resumed_store_lands_the_whole_prefix(self, tmp_path, capsys):
-        base = ["--small", "--seed", "7", "-q", "stream"]
-        ck = str(tmp_path / "ck.json")
-        assert _run(
-            capsys, base + ["--until-day", "46", "--checkpoint", ck]
-        )[0] == 0
-        fresh = str(tmp_path / "fresh.sqlite")
-        assert _run(capsys, base + ["--resume", ck, "--store", fresh])[0] == 0
+    def test_two_session_store_queries_match_straight_landing(
+        self, tmp_path, capsys
+    ):
+        two = str(tmp_path / "two.sqlite")
         straight = str(tmp_path / "straight.sqlite")
-        assert _run(capsys, base + ["--store", straight])[0] == 0
-
-        stats = []
-        for path in (fresh, straight):
-            code, out, _ = _run(capsys, ["query", "--store", path, "feed-stats"])
+        for argv in (
+            ["--until-day", "46", "--store", two],
+            ["--store", two],
+            ["--store", straight],
+        ):
+            assert _run(capsys, self.BASE + argv)[0] == 0
+        for query in (["feed-stats"], ["runs"]):
+            outputs = [
+                _run(capsys, ["query", "--store", path, *query])
+                for path in (two, straight)
+            ]
+            assert outputs[0][0] == 0
+            assert outputs[0] == outputs[1], query
+        # Same rows; only ``seq`` (landing order) differs, because the
+        # first session lands every feed's pre-day-46 prefix first.
+        listings = []
+        for path in (two, straight):
+            code, out, _ = _run(
+                capsys,
+                ["query", "--store", path,
+                 "sightings", "--feed", "mx1", "--limit", "500"],
+            )
             assert code == 0
-            with SightingStore.open(path) as store:
-                stats.append((out, len(store.sightings())))
-        assert stats[0] == stats[1]
-        assert stats[0][1] == 59583
+            listings.append(
+                [line.split(None, 1)[1:] for line in out.splitlines()]
+            )
+        assert len(listings[0]) == 503
+        assert listings[0] == listings[1]
+        with SightingStore.open(two) as store:
+            assert len(store.sightings()) == 59583
 
 
 class TestQueryCli:

@@ -1,10 +1,28 @@
 """CLI tests for the ``stream`` subcommand and the ``--quiet`` flag."""
 
-import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
 from repro.__main__ import main
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+
+
+def run_repro(*argv, timeout=60):
+    """``python -m repro`` in a subprocess; a hang fails, never stalls."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
+    )
 
 
 class TestStreamCli:
@@ -39,101 +57,59 @@ class TestStreamCli:
         assert "[stream] day 60/92:" in err
         assert "records/s" in err
 
-    def test_checkpoint_then_resume_is_identical(self, tmp_path, capsys):
-        path = str(tmp_path / "ck.json")
-        code = main(
-            ["--small", "--seed", "7", "-q", "stream",
-             "--until-day", "46", "--checkpoint", path]
-        )
-        assert code == 0
-        capsys.readouterr()
-
-        code = main(
-            ["--small", "--seed", "7", "-q", "stream", "--resume", path]
-        )
-        assert code == 0
-        resumed_out = capsys.readouterr().out
-
-        assert main(["--small", "--seed", "7", "-q", "stream"]) == 0
-        straight_out = capsys.readouterr().out
-        assert resumed_out == straight_out
-
-    def test_resume_with_wrong_seed_fails_cleanly(self, tmp_path, capsys):
-        path = str(tmp_path / "ck.json")
+    def test_snapshot_loop_is_monotone_and_ends_at_run_tables(self, capsys):
         assert main(
-            ["--small", "--seed", "7", "-q", "stream",
-             "--until-day", "10", "--checkpoint", path]
+            ["--small", "--seed", "7", "stream", "--snapshot-every", "23"]
         ) == 0
-        capsys.readouterr()
-        code = main(
-            ["--small", "--seed", "8", "-q", "stream", "--resume", path]
-        )
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("day", ["46", "10"])
-    def test_foreign_scale_checkpoint_fails_cleanly(
-        self, day, tmp_path, capsys
-    ):
-        path = str(tmp_path / "ck.json")
-        assert main(
-            ["--small", "--seed", "7", "-q", "stream", "--scale", "2",
-             "--until-day", day, "--checkpoint", path]
-        ) == 0
-        capsys.readouterr()
-        code = main(
-            ["--small", "--seed", "7", "-q", "stream", "--resume", path]
-        )
         captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err.startswith("error: ")
-        assert "belongs to run" in captured.err
-        assert captured.out == ""
-
-    @pytest.mark.parametrize("kind", ["stream-engine", "stream-cursor"])
-    def test_v1_checkpoint_envelopes_are_rejected(
-        self, kind, tmp_path, capsys
-    ):
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps({
-            "format": "repro-checkpoint", "version": 1, "kind": kind,
-            "payload": {"seed": 7, "feed_order": [], "cursors": {},
-                        "state": {}, "store": {}},
-        }))
-        code = main(
-            ["--small", "--seed", "7", "-q", "stream", "--resume", str(path)]
+        lines = re.findall(
+            r"\[stream\] (?:day (\d+)/92|done): ([\d,]+) records", captured.err
         )
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "unsupported checkpoint version" in err
-        assert "Traceback" not in err
+        assert [day for day, _ in lines] == ["23", "46", "69", ""]
+        counts = [int(n.replace(",", "")) for _, n in lines]
+        assert counts == sorted(counts) and counts[0] > 0
 
-    def test_resume_from_missing_file_fails_cleanly(self, tmp_path, capsys):
-        code = main(
-            ["--small", "--seed", "7", "-q", "stream",
-             "--resume", str(tmp_path / "nope.json")]
-        )
-        assert code == 2
-        assert "cannot read checkpoint" in capsys.readouterr().err
+        assert main(["--small", "--seed", "7", "-q", "run"]) == 0
+        run_out = capsys.readouterr().out
+        tables = captured.out.rstrip("\n")
+        assert run_out.startswith(tables + "\n\n")
 
-    def test_unwritable_checkpoint_path_fails_cleanly(self, tmp_path, capsys):
-        target = tmp_path / "file-not-dir"
-        target.write_text("x")
-        code = main(
-            ["--small", "--seed", "7", "-q", "stream",
-             "--checkpoint", str(target / "ck.json")]
-        )
-        assert code == 2
-        assert "cannot write checkpoint" in capsys.readouterr().err
+    def test_snapshot_every_zero_is_off(self, capsys):
+        assert main(
+            ["--small", "--seed", "7", "stream", "--snapshot-every", "0"]
+        ) == 0
+        assert "[stream] day " not in capsys.readouterr().err
 
-    def test_resume_from_garbage_fails_cleanly(self, tmp_path, capsys):
-        path = tmp_path / "junk.json"
-        path.write_text("{}")
-        code = main(
-            ["--small", "--seed", "7", "-q", "stream", "--resume", str(path)]
-        )
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stream", "--snapshot-every", "-1"],
+            ["stream", "--until-day", "-3"],
+            ["stream", "--until-day", "x"],
+        ],
+        ids=["negative-snapshot-every", "negative-until-day", "non-integer"],
+    )
+    def test_bad_day_options_are_usage_errors(self, argv):
+        result = run_repro("--small", "--seed", "7", *argv, "--no-cache")
+        assert result.returncode == 2
+        assert "usage:" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stream", "--checkpoint", "x"],
+            ["stream", "--resume", "x"],
+            ["lint", "--schema-pin"],
+        ],
+        ids=["checkpoint", "resume", "schema-pin"],
+    )
+    def test_deleted_flags_are_unrecognized(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--small", "--seed", "7", *argv])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_until_day_prints_asof_header(self, capsys):
         code = main(

@@ -4,7 +4,7 @@ A fully-drained :class:`StreamEngine` snapshot must reproduce the batch
 :class:`PaperPipeline` results *byte-for-byte* -- same Table 1/2/3 data,
 same rendered text, same figure data.  These tests assert that for the
 miniature world under two different seeds and for the paper-scale world
-under seed 2012, plus checkpoint/resume and windowed (as-of-day)
+under seed 2012, plus advance-then-drain and windowed (as-of-day)
 consistency.
 """
 
@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ecosystem import build_world, small_config
-from repro.feeds import FeedDataset, collect_all, standard_feed_suite
+from repro.ecosystem import small_config
+from repro.feeds import FeedDataset
 from repro.analysis import FeedComparison
 from repro.pipeline import PaperPipeline
 from repro.simtime import MINUTES_PER_DAY
@@ -79,47 +79,23 @@ class TestSmallWorldEquivalence:
             assert stats.total_samples == batch[name].total_samples
             assert stats.n_unique == batch[name].n_unique
 
-    def test_resume_from_checkpoint_matches_straight_through(
-        self, small_pipeline, tmp_path
+    def test_advance_then_drain_matches_straight_through(
+        self, small_pipeline
     ):
         straight = small_pipeline.stream_engine()
         straight.run()
         expected = straight.snapshot()
 
-        # Run halfway, checkpoint, throw the engine away.
-        first = small_pipeline.stream_engine()
-        first.advance_to_day(46)
-        path = str(tmp_path / "mid.json")
-        first.save_checkpoint(path)
-        midpoint = first.records_processed
+        engine = small_pipeline.stream_engine()
+        engine.advance_to_day(46)
+        midpoint = engine.records_processed
         assert 0 < midpoint < expected.records_processed
-        del first
-
-        # A fresh engine resumed from the file finishes identically.
-        resumed = small_pipeline.stream_engine()
-        resumed.resume(path)
-        assert resumed.records_processed == midpoint
-        resumed.run()
-        final = resumed.snapshot()
+        engine.run()
+        final = engine.snapshot()
         assert final.records_processed == expected.records_processed
         assert final.render_tables() == expected.render_tables()
         assert final.table2() == expected.table2()
         assert final.table3() == expected.table3()
-
-    def test_checkpoint_is_json_portable(self, small_pipeline, tmp_path):
-        engine = small_pipeline.stream_engine()
-        engine.advance_to_day(10)
-        path = str(tmp_path / "early.json")
-        engine.save_checkpoint(path)
-        engine.run()
-
-        resumed = small_pipeline.stream_engine()
-        resumed.resume(path)
-        resumed.run()
-        assert (
-            resumed.snapshot().render_tables()
-            == engine.snapshot().render_tables()
-        )
 
 
 class TestWindowedSnapshots:
@@ -152,17 +128,6 @@ class TestWindowedSnapshots:
         order = [n for n in engine.feed_order if n in truncated]
         assert snapshot.table2() == purity_table(comparison, order)
         assert snapshot.table3() == coverage_table(comparison, order)
-
-    def test_daily_snapshots_are_monotone_and_end_drained(
-        self, small_world, small_datasets
-    ):
-        engine = StreamEngine(small_world, small_datasets, seed=7)
-        seen = list(engine.daily_snapshots(every_days=23))
-        counts = [s.records_processed for s in seen]
-        assert counts == sorted(counts)
-        assert engine.exhausted
-        total = sum(ds.total_samples for ds in small_datasets.values())
-        assert counts[-1] == total
 
     def test_snapshot_is_immutable_under_further_consumption(
         self, small_world, small_datasets
@@ -207,20 +172,15 @@ class TestPaperScaleEquivalence:
         assert snapshot.render_table2() == paper_pipeline.render_table2()
         assert snapshot.render_table3() == paper_pipeline.render_table3()
 
-    def test_paper_scale_resume_matches(self, paper_pipeline, tmp_path):
+    def test_paper_scale_advance_then_drain_matches(self, paper_pipeline):
         engine = paper_pipeline.stream_engine()
         engine.advance_to_day(46)
-        path = str(tmp_path / "day46.json")
-        engine.save_checkpoint(path)
-
-        resumed = paper_pipeline.stream_engine()
-        resumed.resume(path)
-        assert resumed.records_processed == engine.records_processed
-        resumed.run()
-
         engine.run()
-        assert resumed.records_processed == engine.records_processed
+
+        straight = paper_pipeline.stream_engine()
+        straight.run()
+        assert engine.records_processed == straight.records_processed
         assert (
-            resumed.snapshot().render_tables()
-            == engine.snapshot().render_tables()
+            engine.snapshot().render_tables()
+            == straight.snapshot().render_tables()
         )

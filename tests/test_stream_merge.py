@@ -1,10 +1,9 @@
-"""Unit tests for the stream engine's day slices, prefix statistics and
-checkpoints.
+"""Unit tests for the stream engine's day slices and prefix statistics.
 
 The engine's position is one prefix length per feed, found by a bisect
 over the feed's time column.  These tests pin the ordering, boundary,
-statistics and checkpoint properties of that view on small hand-built
-feeds placed on the miniature world's timeline.
+repositioning and statistics properties of that view on small
+hand-built feeds placed on the miniature world's timeline.
 """
 
 import pickle
@@ -12,15 +11,8 @@ import pickle
 import pytest
 
 from repro.feeds.base import FeedDataset, FeedRecord, FeedType
-from repro.io.checkpoint import (
-    CheckpointError,
-    read_checkpoint,
-    write_checkpoint,
-)
 from repro.simtime import MINUTES_PER_DAY
-from repro.stream import CHECKPOINT_KIND, StreamEngine
-
-RUN_KEY = "config:7"
+from repro.stream import StreamEngine
 
 
 def _at(world, day, minute=0):
@@ -32,9 +24,7 @@ def _feed(name, records, feed_type=FeedType.MX_HONEYPOT):
 
 
 def _engine(world, feeds):
-    return StreamEngine(
-        world, feeds, seed=7, feed_order=list(feeds), run_key=RUN_KEY
-    )
+    return StreamEngine(world, feeds, seed=7, feed_order=list(feeds))
 
 
 def _two_feeds(world):
@@ -96,46 +86,31 @@ class TestRecordStream:
         assert not engine.exhausted
         assert engine.snapshot().datasets["a"].unique_domains() == {"a.com"}
 
-    def test_cursors_and_seek_roundtrip(self, small_world, tmp_path):
+    def test_rewind_matches_fresh_engine(self, small_world):
         feeds = _two_feeds(small_world)
         engine = _engine(small_world, feeds)
+        engine.advance_to_day(46)
+        assert engine.exhausted
         engine.advance_to_day(11)
-        path = str(tmp_path / "ck.json")
-        engine.save_checkpoint(path)
 
         fresh = _engine(small_world, feeds)
-        fresh.resume(path)
+        fresh.advance_to_day(11)
         assert fresh.records_processed == engine.records_processed == 3
         assert fresh.position == engine.position
-        assert fresh.snapshot().table1() == engine.snapshot().table1()
+        before, after = engine.snapshot(), fresh.snapshot()
+        assert after.table1() == before.table1()
+        assert after.as_of == before.as_of
+        assert after.domain_spread() == before.domain_spread()
+        for name in feeds:
+            mine, theirs = before.datasets[name], after.datasets[name]
+            assert mine.unique_domains() == theirs.unique_domains()
+            assert mine.first_seen() == theirs.first_seen()
+            assert mine.last_seen() == theirs.last_seen()
 
-        # A drained engine round-trips to drained; an earlier day rewinds.
+        # A drained engine rewinds too, all the way to an earlier day.
         engine.run()
-        engine.save_checkpoint(path)
-        fresh.resume(path)
-        assert fresh.exhausted
         engine.advance_to_day(2)
-        engine.save_checkpoint(path)
-        fresh.resume(path)
-        assert fresh.records_processed == 1
-
-    def test_seek_rejects_unknown_feed_and_bad_range(
-        self, small_world, tmp_path
-    ):
-        engine = _engine(small_world, _two_feeds(small_world))
-        path = str(tmp_path / "ck.json")
-        write_checkpoint(
-            path, CHECKPOINT_KIND, {"run_key": "other:7", "day": 1}
-        )
-        with pytest.raises(CheckpointError, match="belongs to run"):
-            engine.resume(path)
-        for day in (-1, "3", 1.5, True):
-            write_checkpoint(
-                path, CHECKPOINT_KIND, {"run_key": RUN_KEY, "day": day}
-            )
-            with pytest.raises(CheckpointError, match="bad"):
-                engine.resume(path)
-        assert engine.records_processed == 0
+        assert engine.records_processed == 1
 
     def test_empty_sources_rejected(self, small_world):
         with pytest.raises(ValueError):
@@ -247,72 +222,3 @@ class TestStreamState:
     def test_unknown_feed_rejected(self, small_world):
         with pytest.raises(ValueError, match="registered under"):
             StreamEngine(small_world, {"a": _feed("b", [])})
-
-    def test_payload_roundtrip_preserves_everything(
-        self, small_world, tmp_path
-    ):
-        feeds = _two_feeds(small_world)
-        engine = _engine(small_world, feeds)
-        engine.advance_to_day(13)
-        payload = engine.checkpoint_payload()
-        assert payload == {"run_key": RUN_KEY, "day": 13}
-        path = str(tmp_path / "ck.json")
-        engine.save_checkpoint(path)
-        assert read_checkpoint(path, CHECKPOINT_KIND) == payload
-
-        fresh = _engine(small_world, feeds)
-        fresh.resume(path)
-        assert fresh.checkpoint_payload() == payload
-        before, after = engine.snapshot(), fresh.snapshot()
-        assert after.records_processed == before.records_processed
-        assert after.as_of == before.as_of
-        assert after.domain_spread() == before.domain_spread()
-        for name in feeds:
-            mine, theirs = before.datasets[name], after.datasets[name]
-            assert mine.unique_domains() == theirs.unique_domains()
-            assert mine.first_seen() == theirs.first_seen()
-            assert mine.last_seen() == theirs.last_seen()
-
-    def test_bad_payload_rejected(self, small_world, tmp_path):
-        engine = _engine(small_world, _two_feeds(small_world))
-        path = str(tmp_path / "ck.json")
-        for payload in ({}, {"run_key": 7, "day": 1}, {"day": 1}):
-            write_checkpoint(path, CHECKPOINT_KIND, payload)
-            with pytest.raises(CheckpointError, match="bad"):
-                engine.resume(path)
-        unkeyed = StreamEngine(small_world, _two_feeds(small_world))
-        with pytest.raises(CheckpointError, match="no run key"):
-            unkeyed.save_checkpoint(path)
-
-
-class TestCheckpointIo:
-    def test_roundtrip(self, tmp_path):
-        path = str(tmp_path / "ck.json")
-        write_checkpoint(path, "stream-engine", {"x": [1, 2]})
-        assert read_checkpoint(path, "stream-engine") == {"x": [1, 2]}
-
-    def test_kind_mismatch(self, tmp_path):
-        path = str(tmp_path / "ck.json")
-        write_checkpoint(path, "something-else", {})
-        with pytest.raises(CheckpointError, match="kind"):
-            read_checkpoint(path, "stream-engine")
-
-    def test_garbage_file(self, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text("not json at all{{{")
-        with pytest.raises(CheckpointError):
-            read_checkpoint(str(path), "stream-engine")
-
-    def test_wrong_version(self, tmp_path):
-        path = tmp_path / "ck.json"
-        path.write_text(
-            '{"format": "repro-checkpoint", "version": 999, '
-            '"kind": "stream-engine", "payload": {}}'
-        )
-        with pytest.raises(CheckpointError, match="version"):
-            read_checkpoint(str(path), "stream-engine")
-
-    def test_no_partial_file_on_success(self, tmp_path):
-        path = str(tmp_path / "ck.json")
-        write_checkpoint(path, "stream-engine", {"n": 1})
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json"]
