@@ -112,11 +112,12 @@ class TestTwoSessionLanding:
             assert len(store.sightings()) == done
         assert 0 < done < 59583
 
+    @pytest.mark.parametrize("day", ["20", "46"])
     def test_second_session_stdout_matches_straight_stream(
-        self, tmp_path, capsys
+        self, day, tmp_path, capsys
     ):
         path = str(tmp_path / "s.sqlite")
-        argv = self.BASE + ["--until-day", "46", "--store", path]
+        argv = self.BASE + ["--until-day", day, "--store", path]
         assert _run(capsys, argv)[0] == 0
         code, second, err = _run(capsys, self.BASE + ["--store", path])
         assert code == 0 and err == ""

@@ -111,6 +111,19 @@ class TestStreamCli:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_until_day_session_then_plain_stream_is_identical(self, capsys):
+        base = ["--small", "--seed", "7", "-q", "stream"]
+        assert main(base) == 0
+        straight_out = capsys.readouterr().out
+        assert main(base + ["--until-day", "46"]) == 0
+        cut_out = capsys.readouterr().out
+        assert cut_out != straight_out
+
+        # A later session reaches the end again from (config, seed)
+        # alone; the cut session leaves nothing behind that shows.
+        assert main(base) == 0
+        assert capsys.readouterr().out == straight_out
+
     def test_until_day_prints_asof_header(self, capsys):
         code = main(
             ["--small", "--seed", "7", "stream", "--until-day", "20"]

@@ -97,20 +97,14 @@ class TestRecordStream:
         fresh.advance_to_day(11)
         assert fresh.records_processed == engine.records_processed == 3
         assert fresh.position == engine.position
-        before, after = engine.snapshot(), fresh.snapshot()
-        assert after.table1() == before.table1()
-        assert after.as_of == before.as_of
-        assert after.domain_spread() == before.domain_spread()
-        for name in feeds:
-            mine, theirs = before.datasets[name], after.datasets[name]
-            assert mine.unique_domains() == theirs.unique_domains()
-            assert mine.first_seen() == theirs.first_seen()
-            assert mine.last_seen() == theirs.last_seen()
+        assert fresh.snapshot().table1() == engine.snapshot().table1()
 
         # A drained engine rewinds too, all the way to an earlier day.
         engine.run()
+        assert engine.exhausted
         engine.advance_to_day(2)
         assert engine.records_processed == 1
+        assert not engine.exhausted
 
     def test_empty_sources_rejected(self, small_world):
         with pytest.raises(ValueError):
@@ -218,6 +212,24 @@ class TestStreamState:
         assert snapshot.domain_spread() == (1, 1)
         assert snapshot.datasets["a"].total_samples == 3
         assert snapshot.datasets["a"].n_unique == 1
+
+    def test_rewound_snapshot_matches_fresh_engine(self, small_world):
+        feeds = _two_feeds(small_world)
+        engine = _engine(small_world, feeds)
+        engine.run()
+        engine.advance_to_day(13)
+
+        fresh = _engine(small_world, feeds)
+        fresh.advance_to_day(13)
+        before, after = engine.snapshot(), fresh.snapshot()
+        assert after.records_processed == before.records_processed == 4
+        assert after.as_of == before.as_of
+        assert after.domain_spread() == before.domain_spread()
+        for name in feeds:
+            mine, theirs = before.datasets[name], after.datasets[name]
+            assert mine.unique_domains() == theirs.unique_domains()
+            assert mine.first_seen() == theirs.first_seen()
+            assert mine.last_seen() == theirs.last_seen()
 
     def test_unknown_feed_rejected(self, small_world):
         with pytest.raises(ValueError, match="registered under"):
